@@ -12,10 +12,11 @@ are also accepted.  ``check`` exits non-zero when the Chrome trace is
 structurally invalid (unmatched ``B``/``E`` spans, negative durations,
 non-monotonic per-track timestamps) or any metric value is NaN/Inf —
 the CI observability job gates on it.  A *truncated* trace (the tracer
-hit its event cap and dropped events) still passes but prints a
-warning, so a silently partial trace never masquerades as a complete
-one.  ``promcheck`` validates a saved ``GET /metrics`` scrape as
-Prometheus text exposition — the CI service-smoke job gates on it.
+hit its event cap and dropped events, or the service dropped executor
+segments of a job) still passes but prints a warning, so a silently
+partial trace never masquerades as a complete one.  ``promcheck``
+validates a saved ``GET /metrics`` scrape as Prometheus text
+exposition — the CI service-smoke job gates on it.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def main(argv=None) -> int:
                 print(f"FAIL: {problem}", file=sys.stderr)
             return 1
         if isinstance(trace, dict):
-            dropped = (trace.get("otherData") or {}) \
-                .get("dropped_events") or 0
+            other = trace.get("otherData") or {}
+            dropped = other.get("dropped_events") or 0
             if dropped:
                 # truncation is not a structural failure (everything
                 # recorded is still valid) but must not pass silently
@@ -144,6 +145,11 @@ def main(argv=None) -> int:
                       "event(s) dropped at the tracer cap "
                       "(raise max_events to capture them)",
                       file=sys.stderr)
+            segments = other.get("dropped_segments") or 0
+            if segments:
+                print(f"warning: trace truncated — {segments} "
+                      "executor segment(s) dropped by the service's "
+                      "retention bounds", file=sys.stderr)
         checked = [str(p) for p in (trace_path, metrics_path) if p]
         print(f"ok: {', '.join(checked)}")
         return 0

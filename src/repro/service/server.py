@@ -72,6 +72,7 @@ import socket
 import threading
 import time
 import uuid
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -131,6 +132,12 @@ EXTERNAL_POLL_SECONDS = 0.2
 #: hold the server's memory hostage.
 MAX_JOB_SEGMENTS = 512
 
+#: Finished jobs that keep their executors' segments; an older job's
+#: trace keeps only the server's own segment and counts the evicted
+#: ones as dropped, so retained spans stay bounded however many jobs
+#: the server runs.
+MAX_TRACED_JOBS = 32
+
 
 def _pool_warmup() -> None:
     """No-op task whose submission forces the pool to spawn all of its
@@ -189,6 +196,9 @@ class CampaignService:
         self._job_seq = 0
         self._local_busy = 0
         self._seen_workers: set = set()
+        #: finished traced jobs still holding executor segments, oldest
+        #: first (at most MAX_TRACED_JOBS)
+        self._traced_jobs: deque[Job] = deque()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._tasks: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -348,10 +358,20 @@ class CampaignService:
             self.fleet.add(segment["metrics"])
         if job.trace_context is None:
             return
-        if len(job.segments) >= MAX_JOB_SEGMENTS:
+        if len(job.segments) >= MAX_JOB_SEGMENTS or (
+                job.terminal and job not in self._traced_jobs):
             job.segments_dropped += 1
             return
         job.segments.append(segment)
+
+    def _retain_trace(self, job: Job) -> None:
+        """Keep executor segments for the MAX_TRACED_JOBS most recently
+        finished jobs only; evicted segments count as dropped."""
+        self._traced_jobs.append(job)
+        while len(self._traced_jobs) > MAX_TRACED_JOBS:
+            oldest = self._traced_jobs.popleft()
+            oldest.segments_dropped += len(oldest.segments) - 1
+            del oldest.segments[1:]
 
     # ------------------------------------------------------------------
     # submission
@@ -626,6 +646,8 @@ class CampaignService:
         self.metrics.counter(
             "service.jobs.cancelled" if state == CANCELLED
             else "service.jobs.completed").inc()
+        if job.trace_context is not None:
+            self._retain_trace(job)
         appender = self._appenders.pop(job.id, None)
         if appender is not None:
             appender.close()

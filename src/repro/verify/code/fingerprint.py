@@ -12,57 +12,19 @@ always does.
 
 The hash is stable across processes and hosts: it is derived from
 ``ast.dump`` of a location-stripped parse, never from ``id()``,
-``hash()``, or dict iteration over runtime state.
+``hash()``, or dict iteration over runtime state.  The parse and dump
+come from the lint's shared :func:`~repro.verify.code.scan.function_index`;
+helpers are resolved through the live globals on every call.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import hashlib
 import inspect
-import textwrap
-from typing import Callable, Optional
+from typing import Callable
 
-
-def _normalized_dump(fn: Callable) -> Optional[str]:
-    """Location-free, docstring-free AST dump of ``fn``; None when the
-    source cannot be recovered (C extensions, REPL definitions)."""
-    try:
-        source = textwrap.dedent(inspect.getsource(inspect.unwrap(fn)))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError):
-        return None
-    if not tree.body or not isinstance(
-            tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
-    node = tree.body[0]
-    body = node.body
-    if (body and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)):
-        node.body = body[1:] or [ast.Pass()]
-    return ast.dump(node, include_attributes=False)
-
-
-def _helper_names(fn: Callable) -> list:
-    """Same-module functions ``fn`` calls by bare name, sorted."""
-    try:
-        source = textwrap.dedent(inspect.getsource(inspect.unwrap(fn)))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError):
-        return []
-    namespace = getattr(fn, "__globals__", {})
-    module_name = getattr(fn, "__module__", None)
-    helpers = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            obj = namespace.get(node.func.id)
-            if (inspect.isfunction(obj)
-                    and obj.__module__ == module_name
-                    and obj is not inspect.unwrap(fn)):
-                helpers[node.func.id] = obj
-    return sorted(helpers.items())
+from .scan import bare_helpers, function_index
 
 
 def _opaque_identity(fn: Callable) -> bytes:
@@ -91,14 +53,18 @@ def code_fingerprint(fn: Callable) -> str:
         digest.update(repr(fn.args).encode())
         digest.update(repr(sorted(fn.keywords.items())).encode())
         return digest.hexdigest()[:16]
-    dump = _normalized_dump(fn)
-    if dump is None:
+    index = function_index(fn)
+    if index is None:
         digest.update(_opaque_identity(fn))
         return digest.hexdigest()[:16]
-    digest.update(dump.encode())
-    for name, helper in _helper_names(fn):
-        helper_dump = _normalized_dump(helper)
-        if helper_dump is not None:
+    digest.update(index.dump.encode())
+    itself = inspect.unwrap(fn)
+    for name, helper in sorted(bare_helpers(fn, index),
+                               key=lambda pair: pair[0]):
+        if helper is itself:
+            continue
+        helper_index = function_index(helper)
+        if helper_index is not None:
             digest.update(f";{name}=".encode())
-            digest.update(helper_dump.encode())
+            digest.update(helper_index.dump.encode())
     return digest.hexdigest()[:16]

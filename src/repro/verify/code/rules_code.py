@@ -129,9 +129,17 @@ def _code_targets(ctx: VerifyContext) -> Iterator[
     for mscan in module_scans(ctx):
         for method, scan in mscan.scans():
             yield f"{mscan.anchor()}.{method}", scan, mscan
-    for label, _fn, scan in callable_scans(ctx):
+    yield from _callable_targets(ctx)
+
+
+def _callable_targets(ctx: VerifyContext) -> Iterator[
+        Tuple[str, ScannedFunction, None]]:
+    """Attached campaign callables and their inlined helpers."""
+    for label, _fn, scan, helpers in callable_scans(ctx):
         if scan is not None:
             yield label, scan, None
+        for helper in helpers:
+            yield label, helper, None
 
 
 def _activation_targets(ctx: VerifyContext) -> Iterator[
@@ -142,9 +150,7 @@ def _activation_targets(ctx: VerifyContext) -> Iterator[
     for mscan in module_scans(ctx):
         for method, scan in mscan.scans(*ACTIVATION_METHODS):
             yield f"{mscan.anchor()}.{method}", scan, mscan
-    for label, _fn, scan in callable_scans(ctx):
-        if scan is not None:
-            yield label, scan, None
+    yield from _callable_targets(ctx)
 
 
 def _via(scan: ScannedFunction) -> str:
@@ -264,9 +270,8 @@ def environment_read(ctx: VerifyContext) -> Iterator[Diagnostic]:
              "part of the cache key",
     )
     for location, scan, _owner in targets:
-        for node in scan.walk():
-            if isinstance(node, ast.Subscript) and isinstance(
-                    node.value, ast.Attribute):
+        for node in scan.index.nodes(ast.Subscript):
+            if isinstance(node.value, ast.Attribute):
                 resolved = scan.resolve_attribute(node.value)
                 if resolved in _ENV_ATTRS:
                     yield ctx.diag(
@@ -293,24 +298,22 @@ def filesystem_read_in_processing(ctx: VerifyContext) -> Iterator[Diagnostic]:
              "cache key and slow the hot path",
     )
     for location, scan, _owner in targets:
-        for node in scan.walk():
-            if isinstance(node, ast.Attribute):
-                if scan.resolve_attribute(node) in _FS_ATTRS:
-                    yield ctx.diag(
-                        "CODE006", "warning", location,
-                        "sys.stdin access from per-activation code"
-                        + _via(scan),
-                        hint="models must not block on interactive "
-                             "input",
-                        file=scan.file, line=node.lineno,
-                    )
+        for node in scan.index.nodes(ast.Attribute):
+            if scan.resolve_attribute(node) in _FS_ATTRS:
+                yield ctx.diag(
+                    "CODE006", "warning", location,
+                    "sys.stdin access from per-activation code"
+                    + _via(scan),
+                    hint="models must not block on interactive input",
+                    file=scan.file, line=node.lineno,
+                )
 
 
 @rule("CODE007", domain="code", severity="error")
 def global_state_mutation(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Per-activation code mutates module-global state."""
     for location, scan, _owner in _activation_targets(ctx):
-        for node in scan.global_statements():
+        for node in scan.index.nodes(ast.Global):
             yield ctx.diag(
                 "CODE007", "error", location,
                 f"'global {', '.join(node.names)}' rebinding from "
@@ -333,7 +336,8 @@ def global_state_mutation(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 return expr.id
             return None
 
-        for node in scan.walk():
+        for node in scan.index.nodes(ast.Call, ast.Assign,
+                                     ast.AugAssign):
             if isinstance(node, ast.Call) and isinstance(
                     node.func, ast.Attribute):
                 if node.func.attr in {"append", "extend", "add",
@@ -572,9 +576,7 @@ def fork_unsafe_module_state(ctx: VerifyContext) -> Iterator[Diagnostic]:
     for mscan in module_scans(ctx):
         for method, scan in mscan.scans(include_helpers=False):
             location = f"{mscan.anchor()}.{method}"
-            for node in scan.walk():
-                if not isinstance(node, ast.Assign):
-                    continue
+            for node in scan.index.nodes(ast.Assign):
                 stores_self = any(
                     isinstance(t, ast.Attribute)
                     and isinstance(t.value, ast.Name)
@@ -611,7 +613,7 @@ def fork_unsafe_module_state(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @rule("CODE014", domain="code", severity="warning")
 def unpicklable_campaign_callable(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """A campaign callable cannot ship through the spec wire."""
-    for label, fn, scan in callable_scans(ctx):
+    for label, fn, scan, _helpers in callable_scans(ctx):
         inner = getattr(fn, "func", fn)
         if getattr(inner, "__name__", "") == "<lambda>":
             yield ctx.diag(

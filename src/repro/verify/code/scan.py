@@ -4,8 +4,13 @@ The graph rules (TDF/SDF/ELN/SYNC/CORE) check the *structure* a model
 declares; the CODE rules check the *Python code* the model executes.
 This module turns live objects back into analyzable ASTs:
 
-* :class:`ScannedFunction` — one function/method: its AST, absolute
-  line numbers, defining file, and the globals it resolves names in;
+* :class:`FunctionIndex` — everything that depends only on one
+  function's source (its AST with absolute line numbers, one walk
+  bucketed by node type, ``self.X`` dataflow facts, bare-name helper
+  candidates, the fingerprint dump), built once per function object
+  per process and dropped with the function (:func:`function_index`);
+* :class:`ScannedFunction` — one function/method in one verification:
+  its index plus the live globals it resolves names in;
 * :class:`ModuleScan` — one :class:`~repro.tdf.module.TdfModule`
   *class* (instances sharing a class share one scan) with its analyzed
   lifecycle methods plus one level of helper-call inlining;
@@ -13,8 +18,12 @@ This module turns live objects back into analyzable ASTs:
   call expression back to the canonical dotted name of what it calls
   (``np.random.normal`` → ``numpy.random.normal``), so rules match on
   semantics, not on spelling;
-* dataflow helpers: per-attribute ``self.X`` write sites and
+* dataflow helpers: per-attribute ``self.X`` access sites and
   statically bounded port-I/O counts per activation.
+
+Everything that reads live state stays per verification: name
+resolution through ``__globals__``, helper resolution, and what the
+rules read off instances, closures and global values.
 
 Everything here is best-effort and *silent* on failure: code whose
 source is unavailable (C extensions, REPL definitions) simply yields
@@ -25,16 +34,30 @@ from __future__ import annotations
 
 import ast
 import builtins
+import copy
 import inspect
 import textwrap
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ...tdf.module import TdfModule
 
 #: Lifecycle methods analyzed on every TDF module class, in the order
 #: they run.  ``build``-style campaign callables are scanned separately
-#: (see :func:`scan_callable`).
+#: (see :func:`callable_scans`).
 LIFECYCLE_METHODS = (
     "__init__",
     "set_attributes",
@@ -56,47 +79,238 @@ _MUTATOR_METHODS = frozenset({
 })
 
 
-def _source_node(fn: Callable) -> Optional[Tuple[ast.FunctionDef, str, int]]:
-    """(FunctionDef with *absolute* line numbers, file, first line)."""
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+class FunctionIndex:
+    """Everything about one function that depends only on its source.
+
+    Built once per function object per process (see
+    :func:`function_index`) and shared by every verification and
+    fingerprint of that function.  Nothing here reads live state —
+    globals, closures, instance attributes — so a report can never
+    depend on whether the entry was already cached.  Read-only.
+    """
+
+    def __init__(self, node: FunctionNode, file: str, first_line: int):
+        #: the ``FunctionDef``, line numbers absolute in :attr:`file`.
+        self.node = node
+        #: defining file; empty when only the source text is known.
+        self.file = file
+        self.first_line = first_line
+        #: every node of one ``ast.walk``, in walk order ...
+        self.walk_order: Tuple[ast.AST, ...] = tuple(ast.walk(node))
+        buckets: Dict[type, List[ast.AST]] = {}
+        for child in self.walk_order:
+            buckets.setdefault(type(child), []).append(child)
+        #: ... and bucketed by node type, each bucket in walk order.
+        self.buckets: Dict[type, Tuple[ast.AST, ...]] = {
+            kind: tuple(nodes) for kind, nodes in buckets.items()}
+
+    def nodes(self, *kinds: type) -> Tuple[Any, ...]:
+        """Nodes of the given types, in walk order."""
+        if len(kinds) == 1:
+            return self.buckets.get(kinds[0], ())
+        return tuple(node for node in self.walk_order
+                     if isinstance(node, kinds))
+
+    # -- self.<attr> dataflow ------------------------------------------------
+
+    @cached_property
+    def self_attr_events(self) -> Dict[str, Dict[str, Tuple[int, ...]]]:
+        """Per-attribute access-site lines, classified for the
+        carried-state analysis:
+
+        * ``"assign"`` — plain ``self.x = ...`` (all of them);
+        * ``"toplevel"`` — the subset of plain assigns at the top level
+          of the body (unconditional on every activation);
+        * ``"augmented"`` — accesses that *require* a prior value:
+          ``self.x += ...``, ``self.x[i] = ...``, ``self.x.append()``;
+        * ``"read"`` — Load-context ``self.x`` uses.
+        """
+        events: Dict[str, Dict[str, List[int]]] = {}
+
+        def ev(attr: str) -> Dict[str, List[int]]:
+            return events.setdefault(attr, {
+                "assign": [], "toplevel": [], "augmented": [],
+                "read": []})
+
+        toplevel_ids = {id(stmt) for stmt in self.node.body}
+        for node in self.walk_order:
+            if isinstance(node, ast.Assign) or (
+                    isinstance(node, ast.AnnAssign)
+                    and node.value is not None):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    attr = _self_attr(target)
+                    if attr is not None:
+                        ev(attr)["assign"].append(target.lineno)
+                        if id(node) in toplevel_ids:
+                            ev(attr)["toplevel"].append(target.lineno)
+                        continue
+                    base = target
+                    while isinstance(base, ast.Subscript):
+                        base = base.value
+                    attr = _self_attr(base)
+                    if attr is not None:  # self.x[i] = ... needs self.x
+                        ev(attr)["augmented"].append(target.lineno)
+            elif isinstance(node, ast.AugAssign):
+                base = node.target
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                attr = _self_attr(base)
+                if attr is not None:
+                    ev(attr)["augmented"].append(node.lineno)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Attribute)
+                        and func.attr in _MUTATOR_METHODS):
+                    attr = _self_attr(func.value)
+                    if attr is not None:
+                        ev(attr)["augmented"].append(node.lineno)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    attr = _self_attr(node)
+                    if attr is not None:
+                        ev(attr)["read"].append(node.lineno)
+        return {attr: {kind: tuple(lines) for kind, lines in per.items()}
+                for attr, per in events.items()}
+
+    @cached_property
+    def self_reads(self) -> FrozenSet[str]:
+        """Attr names the body touches via ``self.<attr>`` (reads and
+        writes alike)."""
+        return frozenset(attr for attr in map(
+            _self_attr, self.nodes(ast.Attribute)) if attr is not None)
+
+    # -- helpers and fingerprint ---------------------------------------------
+
+    @cached_property
+    def bare_calls(self) -> Tuple[str, ...]:
+        """Names the body calls bare (``helper(...)``), first call
+        first — the candidates for one level of helper inlining."""
+        return tuple(dict.fromkeys(
+            call.func.id for call in self.nodes(ast.Call)
+            if isinstance(call.func, ast.Name)))
+
+    @cached_property
+    def dump(self) -> str:
+        """Location-free, docstring-free AST dump (the fingerprint's
+        input)."""
+        node = copy.copy(self.node)
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            node.body = body[1:] or [ast.Pass()]
+        return ast.dump(node, include_attributes=False)
+
+
+def _self_attr(expr: ast.expr) -> Optional[str]:
+    """``self.<attr>`` → ``attr``; anything else → None."""
+    if (isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"):
+        return expr.attr
+    return None
+
+
+_IndexEntry = Tuple[Any, Optional[FunctionIndex]]
+
+#: function → (its ``__code__`` when indexed, index or None).  Weak
+#: keys: an entry lives exactly as long as its function object, and a
+#: replaced ``__code__`` re-indexes.
+_INDEX: weakref.WeakKeyDictionary[Callable, _IndexEntry] = \
+    weakref.WeakKeyDictionary()
+#: Guards the check-then-build on ``_INDEX`` and keeps builds to one
+#: thread at a time: concurrent ``ast.parse`` calls intermittently
+#: raise ``SystemError`` on CPython 3.11.
+_INDEX_LOCK = threading.Lock()
+
+
+def _build_index(fn: Callable) -> Optional[FunctionIndex]:
     try:
-        fn = inspect.unwrap(fn)
         lines, start = inspect.getsourcelines(fn)
         path = inspect.getsourcefile(fn)
-    except (OSError, TypeError):
-        return None
-    if path is None:
-        return None
-    try:
         tree = ast.parse(textwrap.dedent("".join(lines)))
-    except SyntaxError:
+    except (OSError, TypeError, SyntaxError):
         return None
-    if not tree.body or not isinstance(
-            tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
+    node = tree.body[0] if tree.body else None
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return None
-    node = tree.body[0]
     ast.increment_lineno(node, start - 1)
-    return node, path, start
+    return FunctionIndex(node, path or "", start)
+
+
+def function_index(fn: Callable) -> Optional[FunctionIndex]:
+    """The process-wide index of ``fn``'s source (decorators unwrapped,
+    bound methods mapped to their function); None when the source
+    cannot be recovered (C extensions, REPL definitions)."""
+    try:
+        fn = inspect.unwrap(fn)
+    except ValueError:
+        return None
+    if inspect.ismethod(fn):
+        fn = fn.__func__
+    code = getattr(fn, "__code__", None)
+    with _INDEX_LOCK:
+        try:
+            cached = _INDEX.get(fn)
+        except TypeError:  # not weakly referenceable: index uncached
+            return _build_index(fn)
+        if cached is None or cached[0] is not code:
+            cached = (code, _build_index(fn))
+            _INDEX[fn] = cached
+    return cached[1]
+
+
+def bare_helpers(fn: Callable, index: FunctionIndex,
+                 ) -> List[Tuple[str, Callable]]:
+    """(name, function) for every function of ``fn``'s own module that
+    ``fn`` calls by bare name, first call first.  Resolved through the
+    live ``__globals__`` on every call, never cached."""
+    namespace = getattr(fn, "__globals__", {})
+    module_name = getattr(fn, "__module__", None)
+    found: List[Tuple[str, Callable]] = []
+    for name in index.bare_calls:
+        obj = namespace.get(name)
+        if inspect.isfunction(obj) and obj.__module__ == module_name:
+            found.append((name, obj))
+    return found
 
 
 @dataclass
 class ScannedFunction:
-    """One analyzable function or method."""
+    """One analyzable function or method in one verification: the
+    shared :class:`FunctionIndex` of its source plus the per-call
+    state (name resolution through the function's live globals)."""
 
     #: Method name (``"processing"``) or callable label
     #: (``"campaign.build"``).
     name: str
     #: The live function object (unbound for methods).
     fn: Callable
-    #: Its ``FunctionDef`` node, line numbers absolute in :attr:`file`.
-    node: ast.FunctionDef
-    file: str
-    first_line: int
-    #: ``"method"`` or ``"callable"``.
-    kind: str = "method"
-    #: Set on helper scans: the lifecycle method that calls this one.
+    index: FunctionIndex
+    #: Set on helper scans: the method or callable that calls this one.
     inlined_from: Optional[str] = None
     _resolve_cache: Dict[int, Optional[str]] = field(
         default_factory=dict, repr=False)
+
+    @property
+    def node(self) -> FunctionNode:
+        return self.index.node
+
+    @property
+    def file(self) -> str:
+        return self.index.file
+
+    @property
+    def first_line(self) -> int:
+        return self.index.first_line
+
+    def calls(self) -> Tuple[ast.Call, ...]:
+        return self.index.nodes(ast.Call)
 
     # -- name resolution ----------------------------------------------------
 
@@ -165,175 +379,29 @@ class ScannedFunction:
             return ".".join(parts)
         return ".".join([root, *parts[1:]])
 
-    # -- traversal ----------------------------------------------------------
 
-    def walk(self) -> Iterator[ast.AST]:
-        return ast.walk(self.node)
-
-    def calls(self) -> Iterator[ast.Call]:
-        for node in self.walk():
-            if isinstance(node, ast.Call):
-                yield node
-
-    def global_statements(self) -> Iterator[ast.Global]:
-        for node in self.walk():
-            if isinstance(node, ast.Global):
-                yield node
-
-    # -- self.<attr> dataflow ------------------------------------------------
-
-    def self_writes(self) -> Dict[str, int]:
-        """``{attr: first write line}`` for every ``self.<attr>`` the
-        body assigns, augments, subscript-stores, or mutates in place
-        through a container method."""
-        writes: Dict[str, int] = {}
-
-        def note(attr: str, line: int) -> None:
-            writes.setdefault(attr, line)
-
-        def self_attr(expr: ast.expr) -> Optional[str]:
-            if (isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self"):
-                return expr.attr
-            return None
-
-        for node in self.walk():
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    base = target
-                    # self.x[i] = ... mutates self.x
-                    while isinstance(base, ast.Subscript):
-                        base = base.value
-                    attr = self_attr(base)
-                    if attr is not None:
-                        note(attr, target.lineno)
-            elif isinstance(node, ast.Call):
-                # self.x.append(...) and friends
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATOR_METHODS):
-                    attr = self_attr(func.value)
-                    if attr is not None:
-                        note(attr, node.lineno)
-        return writes
-
-    def self_attr_events(self) -> Dict[str, Dict[str, List[int]]]:
-        """Per-attribute access-site lines, classified for the
-        carried-state analysis:
-
-        * ``"assign"`` — plain ``self.x = ...`` (all of them);
-        * ``"toplevel"`` — the subset of plain assigns at the top level
-          of the body (unconditional on every activation);
-        * ``"augmented"`` — accesses that *require* a prior value:
-          ``self.x += ...``, ``self.x[i] = ...``, ``self.x.append()``;
-        * ``"read"`` — Load-context ``self.x`` uses.
-        """
-        events: Dict[str, Dict[str, List[int]]] = {}
-
-        def ev(attr: str) -> Dict[str, List[int]]:
-            return events.setdefault(attr, {
-                "assign": [], "toplevel": [], "augmented": [],
-                "read": []})
-
-        def self_attr(expr: ast.expr) -> Optional[str]:
-            if (isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self"):
-                return expr.attr
-            return None
-
-        toplevel_ids = {id(stmt) for stmt in self.node.body}
-        for node in self.walk():
-            if isinstance(node, ast.Assign) or (
-                    isinstance(node, ast.AnnAssign)
-                    and node.value is not None):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    attr = self_attr(target)
-                    if attr is not None:
-                        ev(attr)["assign"].append(target.lineno)
-                        if id(node) in toplevel_ids:
-                            ev(attr)["toplevel"].append(target.lineno)
-                        continue
-                    base = target
-                    while isinstance(base, ast.Subscript):
-                        base = base.value
-                    attr = self_attr(base)
-                    if attr is not None:  # self.x[i] = ... needs self.x
-                        ev(attr)["augmented"].append(target.lineno)
-            elif isinstance(node, ast.AugAssign):
-                base: ast.expr = node.target
-                while isinstance(base, ast.Subscript):
-                    base = base.value
-                attr = self_attr(base)
-                if attr is not None:
-                    ev(attr)["augmented"].append(node.lineno)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATOR_METHODS):
-                    attr = self_attr(func.value)
-                    if attr is not None:
-                        ev(attr)["augmented"].append(node.lineno)
-            elif isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load):
-                    attr = self_attr(node)
-                    if attr is not None:
-                        ev(attr)["read"].append(node.lineno)
-        return events
-
-    def self_reads(self) -> set:
-        """Attr names the body reads via ``self.<attr>``."""
-        reads = set()
-        for node in self.walk():
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"):
-                reads.add(node.attr)
-        return reads
-
-    # -- helper discovery ----------------------------------------------------
-
-    def helper_targets(self) -> List[Tuple[str, Callable]]:
-        """Callables this function invokes that are worth one level of
-        inlining: ``self.<method>()`` for methods defined on the owning
-        class, and bare-name calls to functions of the same module."""
-        namespace = getattr(self.fn, "__globals__", {})
-        module_name = getattr(self.fn, "__module__", None)
-        found: Dict[str, Callable] = {}
-        for call in self.calls():
-            func = call.func
-            if isinstance(func, ast.Name):
-                obj = namespace.get(func.id)
-                if (inspect.isfunction(obj)
-                        and obj.__module__ == module_name):
-                    found.setdefault(func.id, obj)
-        return list(found.items())
-
-
-def scan_function(fn: Callable, name: str, *, kind: str = "method",
+def scan_function(fn: Callable, name: str, *,
                   inlined_from: Optional[str] = None,
                   ) -> Optional[ScannedFunction]:
     """Best-effort scan of one function; None when source is missing."""
-    located = _source_node(fn)
-    if located is None:
+    index = function_index(fn)
+    if index is None or not index.file:
         return None
-    node, path, start = located
-    return ScannedFunction(name=name, fn=fn, node=node, file=path,
-                           first_line=start, kind=kind,
+    return ScannedFunction(name=name, fn=fn, index=index,
                            inlined_from=inlined_from)
 
 
-def scan_callable(fn: Callable, label: str) -> Optional[ScannedFunction]:
-    """Scan a campaign-style callable (``build``/``run``)."""
-    inner = fn
-    # functools.partial: analyze the wrapped function
-    inner = getattr(inner, "func", inner)
-    return scan_function(inner, label, kind="callable")
+def scan_helpers(scan: ScannedFunction,
+                 targets: List[Tuple[str, Callable]],
+                 ) -> List[ScannedFunction]:
+    """Scans of ``targets`` as helpers inlined into ``scan`` (one level
+    only: helpers of helpers are not followed)."""
+    inlined: List[ScannedFunction] = []
+    for name, fn in targets:
+        helper = scan_function(fn, name, inlined_from=scan.name)
+        if helper is not None:
+            inlined.append(helper)
+    return inlined
 
 
 class ModuleScan:
@@ -376,18 +444,10 @@ class ModuleScan:
 
     def _inline_helpers(self, scan: ScannedFunction,
                         ) -> List[ScannedFunction]:
-        """One level only: helpers of helpers are not followed."""
-        inlined: List[ScannedFunction] = []
-        seen = set()
-        # module-level functions called by bare name
-        for name, fn in scan.helper_targets():
-            if name not in seen:
-                seen.add(name)
-                helper = scan_function(fn, name,
-                                       inlined_from=scan.name)
-                if helper is not None:
-                    inlined.append(helper)
-        # self.<method>() calls resolving to methods of this class
+        """Module-level functions called by bare name, then
+        ``self.<method>()`` calls resolving to methods of this class."""
+        targets = bare_helpers(scan.fn, scan.index)
+        seen = {name for name, _fn in targets}
         for call in scan.calls():
             target = scan.resolve_call(call)
             if (target is None or not target.startswith("self.")
@@ -401,10 +461,8 @@ class ModuleScan:
                     and getattr(TdfModule, attr, None) is None):
                 continue  # framework API / not a plain def
             seen.add(attr)
-            helper = scan_function(fn, attr, inlined_from=scan.name)
-            if helper is not None:
-                inlined.append(helper)
-        return inlined
+            targets.append((attr, fn))
+        return scan_helpers(scan, targets)
 
     # -- rule-facing views ---------------------------------------------------
 
@@ -427,15 +485,6 @@ class ModuleScan:
                 for helper in self.helpers.get(name, ()):
                     yield name, helper
 
-    def activation_writes(self) -> Dict[str, Tuple[int, str, str]]:
-        """``{attr: (line, file, method)}`` for every ``self`` attribute
-        the per-activation methods (or their helpers) mutate."""
-        writes: Dict[str, Tuple[int, str, str]] = {}
-        for method, scan in self.scans(*ACTIVATION_METHODS):
-            for attr, line in scan.self_writes().items():
-                writes.setdefault(attr, (line, scan.file, method))
-        return writes
-
     def carried_state(self) -> Dict[str, Tuple[int, str, str]]:
         """``{attr: (line, file, method)}`` for attributes whose value
         provably *carries across activations* — the state a checkpoint
@@ -449,7 +498,7 @@ class ModuleScan:
 
         for index, (method, scan) in enumerate(
                 self.scans(*ACTIVATION_METHODS)):
-            for attr, events in scan.self_attr_events().items():
+            for attr, events in scan.index.self_attr_events.items():
                 site = None
                 write_lines = events["assign"] + events["augmented"]
                 if write_lines:
@@ -490,11 +539,10 @@ class ModuleScan:
 
     def checkpoint_covered(self) -> set:
         """Attributes mentioned by the checkpoint hooks."""
-        covered = set()
+        covered: set = set()
         for scan in (self.checkpoint, self.restore):
             if scan is not None:
-                covered |= scan.self_reads()
-                covered |= set(scan.self_writes())
+                covered |= scan.index.self_reads
         return covered
 
 
@@ -513,15 +561,22 @@ def module_scans(ctx) -> List[ModuleScan]:
 
 
 def callable_scans(ctx) -> List[Tuple[str, Callable,
-                                      Optional[ScannedFunction]]]:
+                                      Optional[ScannedFunction],
+                                      List[ScannedFunction]]]:
     """Scans of the extra callables attached to the context (campaign
-    ``build``/``run`` functions); the raw callable rides along for
-    value-level checks (closures, lambdas)."""
+    ``build``/``run`` functions; a ``functools.partial`` through its
+    wrapped function) with their inlined same-module helpers; the raw
+    callable rides along for value-level checks (closures, lambdas)."""
     cached = getattr(ctx, "_code_callable_scans", None)
     if cached is not None:
         return cached
-    scans = [(label, fn, scan_callable(fn, label))
-             for label, fn in getattr(ctx, "code_callables", [])]
+    scans: List[Tuple[str, Callable, Optional[ScannedFunction],
+                      List[ScannedFunction]]] = []
+    for label, fn in getattr(ctx, "code_callables", []):
+        scan = scan_function(getattr(fn, "func", fn), label)
+        helpers = ([] if scan is None else
+                   scan_helpers(scan, bare_helpers(scan.fn, scan.index)))
+        scans.append((label, fn, scan, helpers))
     ctx._code_callable_scans = scans
     return scans
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -131,6 +132,9 @@ def ruleset_version() -> str:
 
 
 _LOADED = False
+#: Held while the built-in rules register, so a thread arriving
+#: meanwhile waits for the full set instead of running a partial one.
+_LOAD_LOCK = threading.RLock()
 
 
 def _load_builtin_rules() -> None:
@@ -139,10 +143,13 @@ def _load_builtin_rules() -> None:
     global _LOADED
     if _LOADED:
         return
-    _LOADED = True
-    from . import rules_core  # noqa: F401
-    from . import rules_eln  # noqa: F401
-    from . import rules_sdf  # noqa: F401
-    from . import rules_sync  # noqa: F401
-    from . import rules_tdf  # noqa: F401
-    from .code import rules_code  # noqa: F401
+    with _LOAD_LOCK:
+        if _LOADED:
+            return
+        from . import rules_core  # noqa: F401
+        from . import rules_eln  # noqa: F401
+        from . import rules_sdf  # noqa: F401
+        from . import rules_sync  # noqa: F401
+        from . import rules_tdf  # noqa: F401
+        from .code import rules_code  # noqa: F401
+        _LOADED = True

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import re
@@ -35,8 +36,10 @@ _ALLOW = re.compile(r"#\s*verify:\s*allow\[([A-Z0-9,\s]+)\]")
 #: path → (stat signature, {line: allowed rule ids})
 _FILE_CACHE: Dict[str, Tuple[Tuple[float, int],
                              Dict[int, FrozenSet[str]]]] = {}
-#: class → union of rule ids allowed anywhere in its body.
-_CLASS_CACHE: Dict[type, FrozenSet[str]] = {}
+#: class → union of rule ids allowed anywhere in its body (weak keys:
+#: a cached class can still be collected).
+_CLASS_CACHE: weakref.WeakKeyDictionary[type, FrozenSet[str]] = \
+    weakref.WeakKeyDictionary()
 
 
 def _parse_lines(lines: List[str], first_line: int = 1,

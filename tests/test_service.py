@@ -711,6 +711,39 @@ class TestFleetObservability:
                 client.job_trace(job["id"])
             assert excinfo.value.status == 404
 
+    def test_trace_retention_bound_drops_oldest_segments(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.observe import validate_chrome_trace
+        from repro.observe.__main__ import main as observe_main
+        from repro.service import server
+
+        monkeypatch.setattr(server, "MAX_TRACED_JOBS", 2)
+        with serve(workers=1) as (_, client):
+            jobs = []
+            for _ in range(server.MAX_TRACED_JOBS + 1):
+                job = client.submit(ref("quick"), chunk_size=4)
+                assert client.wait(job["id"], timeout=10)["state"] \
+                    == "done"
+                jobs.append(job["id"])
+            oldest = client.job_trace(jobs[0])
+            newest = client.job_trace(jobs[-1])
+
+        # the oldest job keeps only the server's own segment; its two
+        # executor segments are reported, and the trace still checks
+        assert oldest["otherData"]["dropped_segments"] == 2
+        assert oldest["otherData"]["processes"] == 1
+        assert validate_chrome_trace(oldest) == []
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(oldest))
+        assert observe_main(["check", str(path)]) == 0
+        assert "2 executor segment(s) dropped" in capsys.readouterr().err
+
+        assert newest["otherData"]["dropped_segments"] == 0
+        point_spans = [event for event in newest["traceEvents"]
+                       if event.get("ph") == "X"
+                       and event["name"] == "point.run"]
+        assert len(point_spans) == 8
+
     def test_traced_overhead_within_documented_bound(self):
         import time as time_module
 

@@ -6,9 +6,12 @@ asserted down to the exact rule id and source line; the repro.lib block
 library and the seed example models are regression-checked to lint
 clean.  Fingerprint tests pin the cache-key contract: keys change iff
 the *executed function body* changes (not its file position, comments,
-or docstrings).
+or docstrings).  Index tests pin that a cached and an uncached
+verification agree, that replaced code is re-indexed, and that index
+entries die with their functions.
 """
 
+import gc
 import importlib.util
 import json
 import sys
@@ -22,8 +25,10 @@ from repro.campaign import Campaign, CampaignRunner, Sweep
 from repro.campaign.cache import cache_key
 from repro.campaign.spec import code_version_for
 from repro.core import Module, SimTime
+from repro.tdf import TdfModule, TdfOut
 from repro.verify import code_fingerprint, verify, verify_callables
-from repro.verify.__main__ import main as verify_main
+from repro.verify.__main__ import main as verify_main, resolve_targets
+from repro.verify.code import scan as code_scan
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -283,6 +288,11 @@ def test_each_code_rule_fires_with_exact_location(
     assert diag["line"] == _bad_line(model)
     # errors gate (exit 1); warnings/infos alone do not
     assert _code == (1 if severity == "error" else 0)
+    # cold == warm: the second verification of the same live objects
+    # reads every function from the process-wide index
+    for _label, target in resolve_targets(str(model)):
+        cold = verify(target, select=["CODE"]).to_dict()
+        assert verify(target, select=["CODE"]).to_dict() == cold
 
 
 def test_code014_lambda_campaign_callable():
@@ -622,3 +632,140 @@ def test_campaign_cache_hits_iff_body_unchanged(tmp_path):
     assert moved["executed"] == 0 and moved["cached"] == 3
     changed = run_with(SPEC_BODY.format(factor="3.0"), "r3")
     assert changed["executed"] == 3 and changed["cached"] == 0
+
+
+def test_campaign_callable_helpers_are_linted(tmp_path):
+    """One level of same-module helpers is linted for campaign
+    callables too, exactly as for module methods."""
+    module = _load_spec(tmp_path, textwrap.dedent("""\
+        import random
+
+
+        def jitter():
+            return random.random()  # BAD
+
+
+        def build(params):
+            return params["x"] + jitter()
+    """), "helper")
+    report = verify_callables([("camp.build", module.build)])
+    hits = [d for d in report if d.rule == "CODE001"]
+    assert len(hits) == 1
+    assert hits[0].location == "camp.build"
+    assert "(via helper jitter())" in hits[0].message
+    assert hits[0].line == _bad_line(tmp_path / "spec_helper.py")
+
+
+# ---------------------------------------------------------------------------
+# the process-wide function index: staleness and lifetime
+# ---------------------------------------------------------------------------
+
+REPLACEABLE = PRELUDE + textwrap.dedent("""\
+    class Replaceable(TdfModule):
+        def __init__(self, name="rep", parent=None):
+            super().__init__(name, parent)
+            self.out = TdfOut("out")
+
+        def set_attributes(self):
+            self.set_timestep(SimTime(1, "us"))
+
+        def processing(self):
+            self.out.write(0.0)
+""")
+
+NOISY_PROCESSING = PRELUDE + textwrap.dedent("""\
+    def processing(self):
+        self.out.write(random.random())  # BAD
+""")
+
+
+def test_replaced_code_is_reindexed(tmp_path):
+    clean = _load_spec(tmp_path, REPLACEABLE, "stale_a")
+    noisy = _load_spec(tmp_path, NOISY_PROCESSING, "stale_b")
+    bad_line = _bad_line(tmp_path / "spec_stale_b.py")
+    cls = clean.Replaceable
+    original = cls.processing
+    fingerprint = code_fingerprint(original)
+    assert len(verify(cls(), select=["CODE"])) == 0
+
+    def code001_lines():
+        return [(d.file, d.line)
+                for d in verify(cls(), select=["CODE"])
+                if d.rule == "CODE001"]
+
+    # a new function object in place of the indexed one
+    cls.processing = noisy.processing
+    assert code001_lines() == [(noisy.__file__, bad_line)]
+    assert code_fingerprint(cls.processing) != fingerprint
+    # the indexed function object itself, given new code
+    cls.processing = original
+    original.__code__ = noisy.processing.__code__
+    assert code001_lines() == [(noisy.__file__, bad_line)]
+    assert code_fingerprint(original) != fingerprint
+
+
+def test_index_entries_die_with_their_class():
+    class Transient(TdfModule):
+        def __init__(self, name="transient", parent=None):
+            super().__init__(name, parent)
+            self.out = TdfOut("out")
+
+        def set_attributes(self):
+            self.set_timestep(SimTime(1, "us"))
+
+        def processing(self):
+            self.out.write(1.0)
+
+    def indexed():
+        return sum(1 for fn in code_scan._INDEX.keys()
+                   if ".<locals>.Transient." in fn.__qualname__)
+
+    assert verify(Transient(), select=["CODE"]).ok
+    assert indexed() == 3  # __init__, set_attributes, processing
+    del Transient
+    gc.collect()
+    assert indexed() == 0
+
+
+def test_index_is_safe_under_concurrent_verification(tmp_path):
+    """Threads verifying instances of one freshly loaded class race to
+    index its functions; every report equals the serial one (unguarded,
+    concurrent ``ast.parse`` calls intermittently crashed a rule)."""
+    module = _load_spec(tmp_path, PRELUDE + textwrap.dedent("""\
+        class Racy(TdfModule):
+            def __init__(self, name="racy", parent=None):
+                super().__init__(name, parent)
+                self.out = TdfOut("out")
+                self.acc = 0.0
+
+            def set_attributes(self):
+                self.set_timestep(SimTime(1, "us"))
+
+            def processing(self):
+                self.acc += random.random()
+                print(self.acc)
+                self.out.write(self.acc)
+    """), "race")
+    reports = []
+
+    def worker():
+        for _ in range(5):
+            reports.append(
+                verify(module.Racy(), select=["CODE"]).to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = verify(module.Racy(), select=["CODE"]).to_dict()
+    assert {d["rule"] for d in expected["diagnostics"]} \
+        == {"CODE001", "CODE008", "CODE015"}
+    assert len(reports) == 40
+    assert all(report == expected for report in reports)
