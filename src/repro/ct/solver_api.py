@@ -73,12 +73,26 @@ class TransientSolver(abc.ABC):
                         np.asarray(data["x"], dtype=float))
 
 
+def substep_counts(t_prev, t, h_internal: float):
+    """Internal steps a fixed-step solver takes from ``t_prev`` to ``t``:
+    the fewest equal steps no longer than ``h_internal``.
+
+    Plain arithmetic, so it takes floats or arrays alike: the TDF window
+    path expands a block of synchronization intervals with exactly the
+    counts :meth:`LinearTransientSolver.advance_to` uses one interval
+    at a time.
+    """
+    interval = t - t_prev
+    return np.maximum(np.ceil(interval / h_internal - 1e-12),
+                      1.0).astype(np.int64)
+
+
 class LinearTransientSolver(TransientSolver):
     """Built-in fixed-step solver for :class:`LinearDae` systems.
 
     ``advance_to`` divides the requested interval into an integer number
     of internal steps no larger than ``h_internal`` (defaulting to the
-    sync interval itself).
+    sync interval itself; see :func:`substep_counts`).
     """
 
     def __init__(self, system: LinearDae,
@@ -128,8 +142,10 @@ class LinearTransientSolver(TransientSolver):
             raise SolverError("cannot advance a transient solver backwards")
         if interval == 0:
             return self._x
-        budget = self.h_internal or interval
-        substeps = max(1, int(np.ceil(interval / budget - 1e-12)))
+        if self.h_internal is None:
+            substeps = 1
+        else:
+            substeps = int(substep_counts(self._t, t, self.h_internal))
         h = interval / substeps
         if self._stepper is None:
             self._stepper = make_stepper(self.system, h, self.method,
@@ -149,14 +165,16 @@ class LinearTransientSolver(TransientSolver):
     def advance_window(self, times: np.ndarray, h_values: np.ndarray,
                        b_next: np.ndarray,
                        b_now: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance through a whole window of synchronization points with
-        pre-evaluated source vectors (the TDF block fast path).
+        """Advance through a window of internal steps with pre-evaluated
+        source vectors (the TDF block fast path).
 
-        ``times[k]`` is the target time of step ``k``; ``h_values[k]``
-        its step size (``times[k] - previous time``, one step per sync
-        point — callers must only use this when ``h_internal`` imposes
-        no substepping).  Bit-identical to ``advance_to(times[k])`` per
-        point.  Returns the per-step states, shape ``(len(times), n)``.
+        ``times[k]`` is the target time of step ``k`` and ``h_values[k]``
+        its step size; ``b_next[k]`` / ``b_now[k]`` are the source
+        vectors at the step's end / start.  A caller replaying
+        ``advance_to`` expands each synchronization interval into the
+        :func:`substep_counts` steps it takes, and the result is then
+        bit-identical to those ``advance_to`` calls.  Returns the
+        per-step states, shape ``(len(times), n)``.
         """
         if self._stepper is None:
             self._stepper = make_stepper(self.system, float(h_values[0]),

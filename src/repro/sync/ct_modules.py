@@ -40,13 +40,14 @@ from ..ct.solver_api import (
     LinearTransientSolver,
     NonlinearTransientSolver,
     TransientSolver,
+    substep_counts,
 )
 from ..eln.components import Switch, Vsource, Isource
 from ..eln.network import Network
 from ..lsf.network import LsfNetwork, LsfSignal
 from ..tdf.module import TdfModule
 from ..tdf.signal import TdfIn, TdfOut
-from .holders import InputHolder
+from .holders import InputHolder, held_values
 
 
 class CtTdfModule(TdfModule):
@@ -59,12 +60,6 @@ class CtTdfModule(TdfModule):
     #: MoC label used for telemetry (``moc.<moc>.seconds`` wall-time
     #: counters and solver span attributes).
     moc = "ct"
-
-    #: Allow the vectorized window fast path in ``processing_block``
-    #: (source vectors pre-evaluated for the whole block, one
-    #: ``advance_window`` call).  Bit-identical to scalar lockstep; set
-    #: False on subclasses to force the per-activation loop.
-    window_enabled = True
 
     def __init__(self, name: str, parent: Optional[Module] = None,
                  interpolate_inputs: bool = True,
@@ -240,18 +235,19 @@ class CtTdfModule(TdfModule):
         """The source-row layout if the window fast path applies.
 
         The path requires the plain built-in linear solver with no
-        per-step observers: exactly one internal step per sync point
-        (``h_internal`` unset), no health monitor, no gating, and no
-        fine-grained telemetry (which traces each ``advance_to``).  The
-        returned value is the stamp-order ``(row, waveform, scale)``
-        layout attached by the network assemblers, or None.
+        per-step observers: no health monitor, no gating, and no
+        fine-grained telemetry (which traces each ``advance_to``).
+        Internal substepping (``h_internal``) is replayed by the
+        window itself.  The returned value is the stamp-order
+        ``(row, waveform, scale)`` layout attached by the network
+        assemblers, or None.
         """
-        if not self.window_enabled or self.gating_enabled:
+        if self.gating_enabled:
             return None
         solver = self._solver
         if not isinstance(solver, LinearTransientSolver):
             return None
-        if solver.monitor is not None or solver.h_internal is not None:
+        if solver.monitor is not None:
             return None
         telemetry = self._telemetry
         if telemetry is not None and telemetry.fine:
@@ -260,46 +256,64 @@ class CtTdfModule(TdfModule):
         return getattr(source, "rows", None)
 
     def _advance_window(self, times, columns, rows):
-        """Advance one step per activation over a whole block at once.
+        """Advance a whole block of activations in one solver call.
 
-        Pre-evaluates every source row for all activations (replaying
-        the ``InputHolder`` hold/interpolation arithmetic vectorized,
+        Expands every activation into exactly the internal steps
+        ``advance_to`` takes (:func:`~repro.ct.solver_api.substep_counts`
+        of them, each ``interval / count`` long), pre-evaluates every
+        source row at each step's start and end instants (replaying the
+        ``InputHolder`` hold/interpolation arithmetic vectorized,
         bit-for-bit) and hands the solver one ``advance_window`` call.
-        Returns the per-activation states, or None when the window
-        cannot be formed (non-monotonic times).
+        Returns the state after each activation, or None when the
+        window cannot be formed (non-monotonic times).
         """
         solver = self._solver
-        steps = len(times)
-        t_prev = np.empty(steps)
+        count = len(times)
+        t_prev = np.empty(count)
         t_prev[0] = solver.time
         t_prev[1:] = times[:-1]
-        h_values = times - t_prev
-        if not np.all(h_values > 0.0):
+        intervals = times - t_prev
+        if not np.all(intervals > 0.0):
             return None
-        # The scalar step evaluates sources at t_prev + h, which may
-        # differ from times[k] by one ULP; replicate literally.
-        te_next = t_prev + h_values
         need_now = (solver.variant == "expm"
                     or solver.method == "trapezoidal")
+        if solver.h_internal is None:
+            # One step per activation: no expansion.
+            owner = last = None
+            starts, h_values, targets = t_prev, intervals, times
+        else:
+            substeps = substep_counts(t_prev, times, solver.h_internal)
+            last = np.cumsum(substeps) - 1
+            owner = np.repeat(np.arange(count), substeps)
+            k = np.arange(len(owner)) - (last + 1 - substeps)[owner]
+            h_values = (intervals / substeps)[owner]
+            starts = t_prev[owner] + k * h_values
+        # The scalar step evaluates sources at start + h, which may
+        # differ from the target time by one ULP; replicate literally.
+        ends = starts + h_values
+        if owner is not None:
+            targets = ends.copy()
+            targets[last] = times
         # Per-holder sample columns at the step end/start instants,
         # matched to source rows by holder identity.
         holder_columns: dict[int, tuple] = {}
         for (_port, holder), col in zip(self._inputs, columns):
-            prev = np.empty(steps)
+            prev = np.empty(count)
             prev[0] = holder.value
             prev[1:] = col[:-1]
-            if holder.interpolate:
-                fraction = (te_next - t_prev) / (times - t_prev)
-                interp = prev + fraction * (col - prev)
-                next_col = np.where(
-                    te_next >= times, col,
-                    np.where(te_next <= t_prev, prev, interp),
-                )
+            if not holder.interpolate:
+                next_col = now_col = col if owner is None else col[owner]
+            elif owner is None:
+                next_col = held_values(ends, t_prev, times, prev, col)
                 now_col = prev
             else:
-                next_col = col
-                now_col = col
+                t0, t1 = t_prev[owner], times[owner]
+                prev, value = prev[owner], col[owner]
+                next_col = held_values(ends, t0, t1, prev, value)
+                now_col = held_values(starts, t0, t1, prev, value) \
+                    if need_now else None
             holder_columns[id(holder)] = (next_col, now_col)
+        steps = len(h_values)
         n = solver.system.n
         b_next = np.zeros((steps, n))
         b_now = np.zeros((steps, n)) if need_now else None
@@ -312,12 +326,12 @@ class CtTdfModule(TdfModule):
                 # exact scalar instants.
                 nxt = np.empty(steps)
                 for j in range(steps):
-                    nxt[j] = waveform(float(te_next[j]))
+                    nxt[j] = waveform(float(ends[j]))
                 now = None
                 if need_now:
                     now = np.empty(steps)
                     for j in range(steps):
-                        now[j] = waveform(float(t_prev[j]))
+                        now[j] = waveform(float(starts[j]))
             else:
                 nxt = now = np.full(steps, float(waveform))
             if scale == 1.0:
@@ -331,23 +345,25 @@ class CtTdfModule(TdfModule):
         x_before = np.array(solver.state, copy=True)
         seconds = self._m_solver_seconds
         if seconds is None:
-            states = solver.advance_window(times, h_values,
+            states = solver.advance_window(targets, h_values,
                                            b_next, b_now)
         else:
             advance_start = _time.perf_counter()
-            states = solver.advance_window(times, h_values,
+            states = solver.advance_window(targets, h_values,
                                            b_next, b_now)
             seconds.inc(_time.perf_counter() - advance_start)
+        if last is not None:
+            states = states[last]
         # Leave holders, gating memory and delta exactly as the last
         # scalar activation would have (checkpoint parity).
         for (_port, holder), col in zip(self._inputs, columns):
-            holder._previous = float(col[-2]) if steps >= 2 \
+            holder._previous = float(col[-2]) if count >= 2 \
                 else holder.value
             holder.value = float(col[-1])
             holder._t0 = float(t_prev[-1])
             holder._t1 = float(times[-1])
         self._last_inputs = tuple(float(col[-1]) for col in columns)
-        before = states[-2] if steps >= 2 else x_before
+        before = states[-2] if count >= 2 else x_before
         self._last_delta = float(np.max(np.abs(states[-1] - before))) \
             if states[-1].size else 0.0
         return states

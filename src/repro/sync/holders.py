@@ -10,6 +10,8 @@ read during the step.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class InputHolder:
     """A sampled input viewed as a continuous waveform."""
@@ -40,3 +42,15 @@ class InputHolder:
             return self.value
         fraction = (t - self._t0) / (self._t1 - self._t0)
         return self._previous + fraction * (self.value - self._previous)
+
+
+def held_values(t, t0, t1, previous, value):
+    """Vectorized :meth:`InputHolder.__call__` of interpolating holders.
+
+    Elementwise over instants ``t`` and sample pairs ``previous`` (held
+    at ``t0``) / ``value`` (at ``t1``), with ``t1 > t0``; bit-identical
+    to the scalar call per element.
+    """
+    fraction = (t - t0) / (t1 - t0)
+    interp = previous + fraction * (value - previous)
+    return np.where(t >= t1, value, np.where(t <= t0, previous, interp))

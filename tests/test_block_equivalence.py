@@ -15,7 +15,8 @@ import pytest
 
 from repro.adsl import REG_HOOK_STATUS, REG_LINE_LEVEL, AdslSystem
 from repro.core import Module, SimTime, Simulator
-from repro.eln import Capacitor, Network, Resistor, Vsource
+from repro.ct import LinearTransientSolver
+from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 from repro.lib import (
     Add2,
     FirFilter,
@@ -31,7 +32,8 @@ from repro.lib import (
     butterworth_lowpass_sections,
     fir_lowpass,
 )
-from repro.sync import ElnTdfModule
+from repro.lsf import LsfLtfNd, LsfNetwork, LsfSource
+from repro.sync import ElnTdfModule, LsfTdfModule
 from repro.tdf import TdfIn, TdfModule, TdfOut, TdfSignal
 
 
@@ -344,6 +346,181 @@ def test_ct_embedded_cluster(batch, compact):
     got = run_sim(RcTop, us(2000), block=True, batch=batch,
                   compact=compact)
     assert_streams_equal(ref.sink, got.sink)
+
+
+# -- oversampled CT modules ---------------------------------------------------
+#
+# ``oversample=k`` makes the solver take k internal steps per activation;
+# the block engine replays them inside one window call, which must match
+# scalar lockstep byte for byte, solver counters included.
+
+
+def _rc_network():
+    """Vsource-driven two-pole RC (a DAE: the source row is algebraic)."""
+    net = Network("rc2")
+    net.add(Vsource("Vin", "in", "0"))
+    net.add(Resistor("R1", "in", "mid", 1e3))
+    net.add(Capacitor("C1", "mid", "0", 1e-9))
+    net.add(Resistor("R2", "mid", "out", 2e3))
+    net.add(Capacitor("C2", "out", "0", 0.5e-9))
+    return net
+
+
+def _ode_network():
+    """Isource-driven RC with a capacitor on every node: invertible C,
+    as the expm stepper requires."""
+    net = Network("ode2")
+    net.add(Isource("Iin", "n1", "0"))
+    net.add(Capacitor("C0", "n1", "0", 1e-9))
+    net.add(Resistor("R0", "n1", "0", 1e3))
+    net.add(Resistor("R1", "n1", "n2", 1e3))
+    net.add(Capacitor("C1", "n2", "0", 2e-9))
+    return net
+
+
+class OversampledTop(Module):
+    """sine -> oversampled CT module -> sink.
+
+    ``multirate``: the source writes 2 samples per activation and the
+    sink reads 4, so one cluster period holds 4 CT activations.
+    """
+
+    def __init__(self, kind, oversample, method="trapezoidal",
+                 interpolate=True, multirate=False):
+        super().__init__("os_top")
+        self.s_in = TdfSignal("s_in")
+        self.s_out = TdfSignal("s_out")
+        self.src = SineSource("src", 23e3, amplitude=0.7, parent=self,
+                              timestep=us(2) if multirate else us(1),
+                              rate=2 if multirate else 1)
+        options = dict(parent=self, oversample=oversample, method=method,
+                       interpolate_inputs=interpolate)
+        if kind == "lsf":
+            lsf = LsfNetwork()
+            u, y = lsf.signal("u"), lsf.signal("y")
+            lsf.add(LsfSource("src", u))
+            lsf.add(LsfLtfNd("lp", u, y, num=[1.0],
+                             den=[1.0, 4.5e-6, 1e-11]))
+            self.ct = LsfTdfModule("ct", lsf, **options)
+            drive, sample = self.ct.drive(u), self.ct.sample(y)
+        elif kind == "expm":
+            self.ct = ElnTdfModule("ct", _ode_network(),
+                                   solver_variant="expm", **options)
+            drive = self.ct.drive_current("Iin")
+            sample = self.ct.sample_voltage("n2")
+        else:
+            self.ct = ElnTdfModule("ct", _rc_network(),
+                                   solver_variant=kind, **options)
+            drive = self.ct.drive_voltage("Vin")
+            sample = self.ct.sample_voltage("out")
+        self.sink = TdfSink("sink", parent=self,
+                            rate=4 if multirate else 1)
+        self.src.out(self.s_in)
+        drive(self.s_in)
+        sample(self.s_out)
+        self.sink.inp(self.s_out)
+
+
+def _oversampled_run(block, duration=us(200), batch=16, **case):
+    top = OversampledTop(**case)
+    sim = Simulator(top, tdf_block=block, tdf_batch=batch)
+    sim.run(duration)
+    return top, sim
+
+
+def _solver_counters(sim):
+    return {key: value for key, value in sim.metrics_snapshot().items()
+            if key.startswith("solver.")}
+
+
+def assert_bytes_equal(ref: TdfSink, got: TdfSink):
+    """Byte equality (distinguishes -0.0 from 0.0, unlike ==)."""
+    for attr in ("times", "samples"):
+        assert np.asarray(getattr(ref, attr), float).tobytes() \
+            == np.asarray(getattr(got, attr), float).tobytes()
+
+
+OVERSAMPLED_CASES = [
+    (kind, oversample, method, interpolate)
+    for kind in ("dense", "sparse", "lsf")
+    for oversample in (2, 3, 4)
+    for method in ("trapezoidal", "backward_euler")
+    for interpolate in (True, False)
+] + [
+    # expm ignores the integration method
+    ("expm", oversample, "trapezoidal", interpolate)
+    for oversample in (2, 3, 4)
+    for interpolate in (True, False)
+]
+
+
+@pytest.mark.parametrize("kind,oversample,method,interpolate",
+                         OVERSAMPLED_CASES)
+def test_oversampled_ct_bit_identical(kind, oversample, method,
+                                      interpolate):
+    case = dict(kind=kind, oversample=oversample, method=method,
+                interpolate=interpolate)
+    ref, ref_sim = _oversampled_run(False, **case)
+    got, got_sim = _oversampled_run(True, **case)
+    assert_bytes_equal(ref.sink, got.sink)
+    assert _normalize(ref.ct.checkpoint_state()) \
+        == _normalize(got.ct.checkpoint_state())
+    counters = _solver_counters(got_sim)
+    assert counters == _solver_counters(ref_sim)
+    # one activation is the consistent initialization, which takes no
+    # solver step; every later one takes ``oversample`` steps
+    assert counters["solver.steps"] == oversample * (len(ref.sink.samples)
+                                                     - 1)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "expm", "lsf"])
+@pytest.mark.parametrize("batch,compact", BLOCK_CONFIGS)
+def test_oversampled_ct_multirate(kind, batch, compact):
+    case = dict(kind=kind, oversample=3, multirate=True)
+    ref, ref_sim = _oversampled_run(False, **case)
+    got, got_sim = _oversampled_run(True, batch=batch, **case)
+    assert ref.ct.activation_count == 4 * ref.sink.activation_count
+    assert_bytes_equal(ref.sink, got.sink)
+    assert _solver_counters(got_sim) == _solver_counters(ref_sim)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "expm", "lsf"])
+@pytest.mark.parametrize("head_block", [False, True],
+                         ids=["scalar-then-block", "block-then-scalar"])
+def test_oversampled_ct_cross_mode_resume(kind, head_block):
+    case = dict(kind=kind, oversample=3)
+    reference, ref_sim = _oversampled_run(False, **case)
+    head_top = OversampledTop(**case)
+    head_sim = Simulator(head_top, tdf_block=head_block)
+    head_sim.run(us(100), checkpoint_every=us(100))
+    checkpoint = head_sim.checkpoint_manager.latest()
+    tail_top = OversampledTop(**case)
+    tail_sim = Simulator(tail_top, tdf_block=not head_block)
+    tail_sim.restore_checkpoint(checkpoint.payload)
+    tail_sim.run(us(100))
+    assert_bytes_equal(reference.sink, tail_top.sink)
+    assert _normalize(reference.ct.checkpoint_state()) \
+        == _normalize(tail_top.ct.checkpoint_state())
+    # the step count is checkpointed; factorization caches are not
+    assert tail_sim.metrics_snapshot()["solver.steps"] \
+        == ref_sim.metrics_snapshot()["solver.steps"]
+
+
+def test_oversampled_block_run_takes_the_window_path(monkeypatch):
+    """A block run of an oversampled module never steps the solver one
+    activation at a time."""
+    case = dict(kind="dense", oversample=2)
+    reference, _ = _oversampled_run(False, **case)
+
+    def scalar_advance(self, t):
+        raise AssertionError(f"per-activation advance_to({t})")
+
+    monkeypatch.setattr(LinearTransientSolver, "advance_to",
+                        scalar_advance)
+    top, sim = _oversampled_run(True, **case)
+    assert_bytes_equal(reference.sink, top.sink)
+    assert sim.metrics_snapshot()["solver.steps"] \
+        == 2 * (len(top.sink.samples) - 1)
 
 
 # -- object-mode (non-float payload) fallback --------------------------------
