@@ -31,6 +31,8 @@ from .nonlinear import (
     dc_operating_point,
 )
 
+_EPS = float(np.finfo(float).eps)
+
 
 class TransientSolver(abc.ABC):
     """Contract every pluggable continuous-time solver fulfils."""
@@ -77,13 +79,22 @@ def substep_counts(t_prev, t, h_internal: float):
     """Internal steps a fixed-step solver takes from ``t_prev`` to ``t``:
     the fewest equal steps no longer than ``h_internal``.
 
+    ``t - t_prev`` carries the rounding of the absolute times, up to
+    one unit in the last place of the larger.  That error grows with
+    simulated time while the interval does not, so a fixed relative
+    slack (1e-12) stops covering it late in a run and an exact multiple
+    of ``h_internal`` would take one step too many.  The slack therefore
+    adds four ULPs of the absolute times on top of the 1e-12.
+
     Plain arithmetic, so it takes floats or arrays alike: the TDF window
     path expands a block of synchronization intervals with exactly the
     counts :meth:`LinearTransientSolver.advance_to` uses one interval
     at a time.
     """
     interval = t - t_prev
-    return np.maximum(np.ceil(interval / h_internal - 1e-12),
+    # eps * |x| bounds the ULP of x from above
+    slack = 1e-12 + 4.0 * _EPS * (abs(t) + abs(t_prev)) / h_internal
+    return np.maximum(np.ceil(interval / h_internal - slack),
                       1.0).astype(np.int64)
 
 

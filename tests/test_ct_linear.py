@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core import SolverError
+from repro.core import SimTime
 from repro.ct import (
     LinearDae,
     LinearStepper,
     LinearTransientSolver,
     state_space_to_dae,
 )
+from repro.ct.solver_api import substep_counts
 
 
 def rc_dae(R=1e3, C=1e-6, v_in=1.0):
@@ -193,6 +195,32 @@ class TestLinearTransientSolver:
         solver.initialize(x0=np.zeros(1))
         state = solver.advance_to(0.0)
         np.testing.assert_allclose(state, [0.0])
+
+
+class TestSubstepCounts:
+    @pytest.mark.parametrize("step_us", [0.1, 1, 3])
+    @pytest.mark.parametrize("oversample", [2, 3, 4])
+    @pytest.mark.parametrize("start_s", [0.0, 0.02, 1.0, 1000.0])
+    def test_sync_intervals_take_exactly_oversample_steps(
+            self, step_us, oversample, start_s):
+        """Activation instants are integer ticks scaled to seconds, as
+        TDF modules compute them; late in a run their rounding exceeds
+        a fixed 1e-12 relative slack."""
+        step = SimTime(step_us, "us")
+        first = int(round(start_s / step.to_seconds()))
+        ticks = (first + np.arange(500, dtype=np.int64)) * step.ticks
+        times = ticks * 1e-15
+        h_internal = step.to_seconds() / oversample
+        counts = substep_counts(times[:-1], times[1:], h_internal)
+        assert np.all(counts == oversample)
+        assert int(substep_counts(times[-2], times[-1], h_internal)) \
+            == oversample
+
+    def test_partial_steps_round_up(self):
+        assert substep_counts(0.0, 2.5e-6, 1e-6) == 3
+        assert substep_counts(0.0, 1e-6 * (1 + 1e-9), 1e-6) == 2
+        # an interval far below h_internal still takes one step
+        assert substep_counts(1.0, 1.0 + 1e-15, 1e-3) == 1
 
 
 class TestStateSpaceAdapter:

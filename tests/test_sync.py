@@ -222,6 +222,39 @@ class TestElnTdf:
         assert top.rec.samples[-1] == pytest.approx(1.0, abs=1e-3)
 
 
+class TestOversampledStepCount:
+    """``oversample=k`` means exactly k solver steps per activation,
+    however late in the run (the absolute times' rounding grows with
+    simulated time; the substep count must not)."""
+
+    @pytest.mark.parametrize("block", [True, False],
+                             ids=["block", "scalar"])
+    def test_exact_substeps_past_20ms(self, block):
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.s_in = TdfSignal("s_in")
+                self.s_out = TdfSignal("s_out")
+                self.src = SineSource("src", self, freq=3e3,
+                                      timestep=us(1))
+                self.rc = ElnTdfModule("rc", rc_network(1e3, 1e-9),
+                                       parent=self, oversample=2)
+                self.rec = Recorder("rec", self)
+                self.src.out(self.s_in)
+                self.rc.drive_voltage("Vin")(self.s_in)
+                self.rc.sample_voltage("out")(self.s_out)
+                self.rec.inp(self.s_out)
+
+        top = Top()
+        sim = Simulator(top, tdf_block=block)
+        sim.run(SimTime(20500, "us"))
+        activations = top.rc.activation_count
+        assert activations > 20_000
+        # the first activation is the consistent initialization
+        assert sim.metrics_snapshot()["solver.steps"] \
+            == 2 * (activations - 1)
+
+
 class TestLsfTdf:
     def test_lowpass_filter_in_tdf_chain(self):
         tau = 1e-3
