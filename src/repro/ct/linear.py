@@ -242,11 +242,13 @@ class _ExpmFactors:
 
 
 class _FactorCacheMixin:
-    """Shared ``h``-keyed LRU factorization cache with reuse counters.
+    """Shared ``h``-keyed LRU factorization cache with reuse counters,
+    and the fixed-step :meth:`step_block` driver.
 
-    Subclasses provide ``_build(h)``.  ``factorizations`` counts every
-    factorization performed, ``cache_hits`` every reuse of a cached one,
-    and ``refactorizations`` the factorizations forced by
+    Subclasses provide ``_build(h)`` and ``step_window``.
+    ``factorizations`` counts every factorization performed,
+    ``cache_hits`` every reuse of a cached one, and
+    ``refactorizations`` the factorizations forced by
     :meth:`invalidate` (topology/switch events) rather than by a new
     timestep value.
     """
@@ -288,6 +290,23 @@ class _FactorCacheMixin:
         self._cache.clear()
         self._pending_refactor = True
         self._fac = self._factors(self.h)
+
+    def step_block(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Advance through ``len(times)`` consecutive steps of the
+        current ``h`` (``times[k]`` is the start of step ``k``).
+
+        Evaluates every source vector up front and runs the steps
+        through ``step_window``, bit-identical to a loop of ``step``
+        calls.  Returns the states after each step, shape
+        ``(len(times), n)``.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        h = self.h
+        b_next = self.system.eval_source_block(times + h)
+        b_now = None if self.method == "backward_euler" \
+            else self.system.eval_source_block(times)
+        return self.step_window(x, np.full(len(times), h), b_next,
+                                b_now, times)
 
 
 class LinearStepper(_FactorCacheMixin):
@@ -478,87 +497,6 @@ class LinearStepper(_FactorCacheMixin):
             raise error
         return states
 
-    def step_block(self, x: np.ndarray, times: np.ndarray,
-                   mode: str = "exact") -> np.ndarray:
-        """Advance through ``len(times)`` consecutive steps at once.
-
-        ``times[k]`` is the start time of step ``k`` (so the step
-        advances to ``times[k] + h``); returns the states *after* each
-        step as shape ``(len(times), n)``.  All source vectors are
-        evaluated up front in one batch; the state recurrence itself is
-        inherently sequential, so the per-step work differs by mode:
-
-        * ``"exact"`` (default) — replays the scalar :meth:`step`
-          arithmetic per step and is bit-identical to a Python loop of
-          ``step`` calls, while amortizing source evaluation and
-          attribute lookups over the whole block.
-        * ``"fused"`` — performs a single multi-RHS solve for all
-          source terms plus one for the state-propagation matrix,
-          reducing the loop to one mat-vec per step.  Algebraically
-          identical but associates the solves differently, so results
-          may differ from scalar stepping at round-off (ULP) level.
-        """
-        if mode not in ("exact", "fused"):
-            raise SolverError(
-                f"unknown step_block mode {mode!r}; "
-                "expected 'exact' or 'fused'"
-            )
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        steps = len(times)
-        system, h, fac = self.system, self.h, self._fac
-        C = self._C
-        states = np.empty((steps, system.n))
-        x = np.asarray(x, dtype=float)
-        b_next = system.eval_source_block(times + h)
-        if self.method == "backward_euler":
-            b_total = b_next
-            b_now = None
-        else:
-            b_now = system.eval_source_block(times)
-        if mode == "exact":
-            for k in range(steps):
-                if self.method == "backward_euler":
-                    rhs = C @ x / h + b_next[k]
-                else:
-                    rhs = fac.M @ x + b_next[k] + b_now[k]
-                if not np.all(np.isfinite(rhs)):
-                    error = SolverError(
-                        f"non-finite right-hand side at "
-                        f"t={times[k]:.6e} (NaN/Inf source or state)"
-                    )
-                    error.time_point = float(times[k])
-                    raise error
-                x = fac.solve(rhs)
-                states[k] = x
-            return states
-        # fused: q_k = A^-1 b_k for every step in one multi-RHS solve,
-        # P = A^-1 M once, then x_{k+1} = P x_k + q_k.
-        if self.method == "backward_euler":
-            P_rhs = C / h
-        else:
-            P_rhs = fac.M
-            b_total = b_next + b_now
-        if sp.issparse(P_rhs):
-            P_rhs = P_rhs.toarray()
-        P = fac.solve(P_rhs)
-        if not np.all(np.isfinite(b_total)):
-            bad = int(np.argwhere(
-                ~np.isfinite(b_total).all(axis=1)
-            )[0][0])
-            error = SolverError(
-                f"non-finite right-hand side at t={times[bad]:.6e} "
-                "(NaN/Inf source or state)"
-            )
-            error.time_point = float(times[bad])
-            raise error
-        Q = fac.solve(np.ascontiguousarray(b_total.T)).T
-        for k in range(steps):
-            x = P @ x + Q[k]
-            states[k] = x
-        if not np.all(np.isfinite(states)):
-            raise SolverError("non-finite state in fused block step")
-        return states
-
 
 class ExpmStepper(_FactorCacheMixin):
     """Exact fixed-step propagator for LTI systems with invertible C.
@@ -703,23 +641,6 @@ class ExpmStepper(_FactorCacheMixin):
             error.time_point = t_bad
             raise error
         return states
-
-    def step_block(self, x: np.ndarray, times: np.ndarray,
-                   mode: str = "exact") -> np.ndarray:
-        """Advance through ``len(times)`` consecutive fixed-size steps
-        (``times[k]`` is the start of step ``k``).  ``mode`` is accepted
-        for interface compatibility; both modes are identical here."""
-        if mode not in ("exact", "fused"):
-            raise SolverError(
-                f"unknown step_block mode {mode!r}; "
-                "expected 'exact' or 'fused'"
-            )
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        h = self.h
-        b_now = self.system.eval_source_block(times)
-        b_next = self.system.eval_source_block(times + h)
-        h_values = np.full(len(times), h)
-        return self.step_window(x, h_values, b_next, b_now, times)
 
 
 def make_stepper(system: LinearDae, h: float,
