@@ -133,12 +133,13 @@ class CtTdfModule(TdfModule):
         self._emit(state)
 
     def processing_block(self, n: int) -> None:
-        """Batch the port I/O around the sequential solver lockstep.
+        """Batch the port I/O and, where the window path applies, the
+        solver steps of ``n`` activations.
 
-        The solver advance is inherently per-activation (each step
-        consumes the previous state), so the block path replays the
-        exact scalar per-activation core; the win is one buffer read /
-        write per port instead of ``n`` dispatches.
+        Every port is read / written once per block.  The steps run
+        in one :meth:`_advance_window` call when :meth:`_window_rows`
+        allows it, otherwise through the exact scalar per-activation
+        core.
         """
         if self._solver is None:
             raise SynchronizationError(
