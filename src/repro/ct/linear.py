@@ -243,7 +243,7 @@ class _ExpmFactors:
 
 class _FactorCacheMixin:
     """Shared ``h``-keyed LRU factorization cache with reuse counters,
-    and the fixed-step :meth:`step_block` driver.
+    and the fixed-step :meth:`step_block`.
 
     Subclasses provide ``_build(h)`` and ``step_window``.
     ``factorizations`` counts every factorization performed,
