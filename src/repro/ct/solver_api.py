@@ -84,9 +84,10 @@ def substep_counts(t_prev, t, h_internal: float):
     simulated time while the interval does not, so a fixed relative
     slack (1e-12) stops covering it late in a run and an exact multiple
     of ``h_internal`` would take one step too many.  The slack therefore
-    adds four ULPs of the absolute times on top of the 1e-12.
+    adds at least four ULPs of the larger absolute time on top of the
+    1e-12.
 
-    Plain arithmetic, so it takes floats or arrays alike: the TDF window
+    Elementwise, so it takes floats or arrays alike: the TDF window
     path expands a block of synchronization intervals with exactly the
     counts :meth:`LinearTransientSolver.advance_to` uses one interval
     at a time.
