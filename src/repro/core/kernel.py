@@ -192,8 +192,9 @@ class Kernel:
                 break
             self._advance_to(entry.ticks)
             self._dispatch_timed(entry)
-            while self._timed and not self._timed[0].cancelled and \
-                    self._timed[0].ticks == self.now_ticks:
+            # Cancelled entries of this instant are skipped, not
+            # treated as its end.
+            while self._timed and self._timed[0].ticks == self.now_ticks:
                 self._dispatch_timed(heapq.heappop(self._timed))
             self._settle_current_time()
         if limit is not None and not self._stop_requested:

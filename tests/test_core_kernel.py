@@ -214,6 +214,46 @@ class TestEvents:
         sim.run(SimTime(0, "ns"))
         assert order == ["first", "second"]
 
+    def test_cancelled_entry_does_not_split_an_instant(self):
+        # e1 and e3 stay due at 10 ns after e2 is cancelled: both fire
+        # in one evaluation phase, so e3's method still reads the value
+        # from before e1's method wrote.
+        runs = []
+
+        class M(Module):
+            def __init__(self):
+                super().__init__("m")
+                self.sig = Signal("s", initial=0)
+                self.events = [Event(f"e{k}") for k in (1, 2, 3)]
+                self.thread(self.driver)
+                self.method(self.writer, sensitivity=[self.events[0]],
+                            dont_initialize=True)
+                self.method(self.reader, sensitivity=[self.events[2]],
+                            dont_initialize=True)
+
+            def driver(self):
+                for event in self.events:
+                    event.notify(ns(10))
+                self.events[1].cancel()
+                yield ns(100)
+
+            def writer(self):
+                runs.append(("writer", sim.kernel.delta_count))
+                self.sig.write(1)
+
+            def reader(self):
+                runs.append(("reader", sim.kernel.delta_count,
+                             self.sig.read()))
+
+        sim = Simulator(M())
+        sim.elaborate()
+        advances = []
+        sim.kernel.add_time_callback(advances.append)
+        sim.run(ns(50))
+        delta = runs[0][1]
+        assert runs == [("writer", delta), ("reader", delta, 0)]
+        assert advances.count(ns(10).ticks) == 1
+
 
 class TestProcesses:
     def test_method_retriggers_on_each_change(self):
