@@ -101,8 +101,13 @@ class Event:
         self._timed_handle = kernel.schedule_event(self, target)
 
     def notify_immediate(self) -> None:
-        """Trigger sensitive processes in the current evaluation phase."""
+        """Trigger sensitive processes in the current evaluation phase.
+
+        Like SystemC's immediate ``notify()``, this first cancels any
+        pending delta or timed notification of the event.
+        """
         kernel = self._resolve_kernel()
+        self.cancel()
         kernel.trigger_event_now(self)
 
     def cancel(self) -> None:

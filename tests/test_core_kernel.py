@@ -214,6 +214,29 @@ class TestEvents:
         sim.run(SimTime(0, "ns"))
         assert order == ["first", "second"]
 
+    def test_immediate_notification_cancels_pending_one(self):
+        fired = []
+
+        class M(Module):
+            def __init__(self):
+                super().__init__("m")
+                self.ev = Event("e")
+                self.thread(self.driver)
+                self.method(lambda: fired.append(sim.kernel.now_ticks),
+                            sensitivity=[self.ev], dont_initialize=True)
+
+            def driver(self):
+                self.ev.notify(ns(10))
+                yield ns(2)
+                self.ev.notify_immediate()
+                yield ns(1)
+                self.ev.notify(ns(20))
+                yield ns(100)
+
+        sim = Simulator(M())
+        sim.run(ns(50))
+        assert fired == [ns(2).ticks, ns(23).ticks]
+
     def test_cancelled_entry_does_not_split_an_instant(self):
         # e1 and e3 stay due at 10 ns after e2 is cancelled: both fire
         # in one evaluation phase, so e3's method still reads the value
