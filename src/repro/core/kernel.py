@@ -177,6 +177,9 @@ class Kernel:
 
         Returns the simulation time at which the run stopped.
         """
+        # Signals queue their updates on the current kernel, which is
+        # the running one even when another simulator was built since.
+        Kernel._current = self
         limit = None if duration is None else self.now_ticks + duration.ticks
         # Published before initialization: the first cluster period runs
         # during initialize() and must already see the run boundary.

@@ -467,6 +467,29 @@ class TestBitSignal:
 
 
 class TestSimulatorControl:
+    def test_run_uses_its_own_kernel_after_another_is_built(self):
+        class M(Module):
+            def __init__(self, name):
+                super().__init__(name)
+                self.sig = Signal("s", initial=0)
+                self.seen = []
+                self.thread(self.stim)
+                self.method(lambda: self.seen.append(self.sig.read()),
+                            sensitivity=[self.sig], dont_initialize=True)
+
+            def stim(self):
+                for value in (1, 2, 3):
+                    self.sig.write(value)
+                    yield ns(1)
+
+        a, b = M("a"), M("b")
+        sim_a = Simulator(a)
+        sim_b = Simulator(b)
+        sim_a.run(ns(10))
+        assert a.seen == [1, 2, 3]
+        sim_b.run(ns(10))
+        assert b.seen == [1, 2, 3]
+
     def test_run_in_segments_preserves_time(self):
         class M(Module):
             def __init__(self):
