@@ -56,9 +56,11 @@ class Clock(Module):
     def _generate(self):
         if self.start_time.ticks > 0:
             yield self.start_time
+        signal = self.signal
         level = self.posedge_first
+        first, second = self._first_width, self._second_width
         while True:
-            self.signal.write(level)
-            yield self._first_width if level == self.posedge_first \
-                else self._second_width
-            level = not level
+            signal.write(level)
+            yield first
+            signal.write(not level)
+            yield second

@@ -69,14 +69,6 @@ class Event:
         if process not in self._static_sensitive:
             self._static_sensitive.append(process)
 
-    def add_waiter(self, process: "Process") -> None:
-        if process not in self._dynamic_waiters:
-            self._dynamic_waiters.append(process)
-
-    def remove_waiter(self, process: "Process") -> None:
-        if process in self._dynamic_waiters:
-            self._dynamic_waiters.remove(process)
-
     # -- notification -----------------------------------------------------
 
     def notify(self, delay: Optional[SimTime] = None) -> None:
@@ -98,7 +90,7 @@ class Event:
             return  # an earlier timed notification is already pending
         self._cancel_timed(kernel)
         self._pending = target
-        self._timed_handle = kernel.schedule_event(self, target)
+        self._timed_handle = kernel.schedule(self, target)
 
     def notify_immediate(self) -> None:
         """Trigger sensitive processes in the current evaluation phase.
@@ -108,7 +100,7 @@ class Event:
         """
         kernel = self._resolve_kernel()
         self.cancel()
-        kernel.trigger_event_now(self)
+        self._fire(kernel)
 
     def cancel(self) -> None:
         """Cancel any pending (delta or timed) notification."""
@@ -116,7 +108,9 @@ class Event:
             self._pending = None
             return
         if self._pending == _DELTA:
-            self._kernel.cancel_delta(self)
+            deltas = self._kernel._delta_events
+            if self in deltas:
+                deltas.remove(self)
         else:
             self._cancel_timed(self._kernel)
         self._pending = None
@@ -126,7 +120,7 @@ class Event:
             return
         self._cancel_timed(kernel)
         self._pending = _DELTA
-        kernel.schedule_delta(self)
+        kernel._delta_events.append(self)
 
     def _cancel_timed(self, kernel: "Kernel") -> None:
         if self._timed_handle is not None:
@@ -136,16 +130,35 @@ class Event:
     # -- firing (kernel-internal) ------------------------------------------
 
     def _fire(self, kernel: "Kernel") -> None:
-        """Deliver the notification: make sensitive processes runnable."""
+        """Deliver the notification: make sensitive processes runnable.
+
+        Static processes are queued before dynamic waiters, each once
+        per evaluation phase (see :meth:`Kernel.make_runnable`); a
+        waiter also drops its other waits (the rest of a wait-any list
+        and any pending wake-up).
+        """
         self._pending = None
         self._timed_handle = None
-        for process in self._static_sensitive:
-            kernel.make_runnable(process, trigger=self)
-        if self._dynamic_waiters:
-            waiters, self._dynamic_waiters = self._dynamic_waiters, []
+        processes = self._static_sensitive
+        waiters = self._dynamic_waiters
+        if waiters:
+            self._dynamic_waiters = []
             for process in waiters:
-                process.clear_dynamic_waits()
-                kernel.make_runnable(process, trigger=self)
+                for event in process._waiting_events:
+                    if event is not self and \
+                            process in event._dynamic_waiters:
+                        event._dynamic_waiters.remove(process)
+                process._waiting_events.clear()
+                if process._timer_handle is not None:
+                    kernel.cancel_timed(process._timer_handle)
+                    process._timer_handle = None
+            processes = processes + waiters
+        runnable = kernel._runnable
+        for process in processes:
+            if not (process._queued or process._terminated):
+                process._queued = True
+                process.last_trigger = self
+                runnable.append(process)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Event({self.name!r})"

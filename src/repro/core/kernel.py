@@ -19,34 +19,27 @@ processes and events, exactly as the paper requires of SystemC-AMS.
 
 from __future__ import annotations
 
-import heapq
 import time as _time
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .errors import SimulationError
 from .events import Event
 from .process import Process
-from .time import SimTime, ZERO_TIME
-
-
-class _TimedEntry:
-    """Heap entry for a timed notification or a thread wake-up."""
-
-    __slots__ = ("ticks", "seq", "event", "process", "cancelled")
-
-    def __init__(self, ticks: int, seq: int, event=None, process=None):
-        self.ticks = ticks
-        self.seq = seq
-        self.event = event
-        self.process = process
-        self.cancelled = False
-
-    def __lt__(self, other: "_TimedEntry") -> bool:
-        return (self.ticks, self.seq) < (other.ticks, other.seq)
+from .time import SimTime
 
 
 class Kernel:
-    """Delta-cycle discrete-event scheduler."""
+    """Delta-cycle discrete-event scheduler.
+
+    :class:`Event`, :class:`Process` and the signals of this package
+    append to the runnable, update and delta queues directly, which
+    keeps one process activation to a few Python calls.  A process is
+    queued at most once per evaluation phase: its ``_queued`` flag is
+    set when it is appended and cleared for a whole batch before any
+    of the batch runs.  Timed notifications and thread wake-ups are
+    heap entries ``[ticks, seq, target]`` (see :meth:`schedule`).
+    """
 
     _current: Optional["Kernel"] = None
 
@@ -56,10 +49,9 @@ class Kernel:
         #: Total number of process activations (a cost metric for E8).
         self.activation_count = 0
         self._runnable: list[Process] = []
-        self._queued_ids: set[int] = set()
         self._update_queue: list = []
         self._delta_events: list[Event] = []
-        self._timed: list[_TimedEntry] = []
+        self._timed: list[list] = []
         self._seq = 0
         self._processes: list[Process] = []
         self._initialized = False
@@ -114,50 +106,36 @@ class Kernel:
         """Invoke ``callback(now_ticks)`` after every time advance."""
         self._time_callbacks.append(callback)
 
-    # -- scheduling interface used by Event / Signal / Process ----------------
+    # -- scheduling interface used by Event / Process ------------------------
 
-    def make_runnable(self, process: Process, trigger: Optional[Event] = None) -> None:
-        if process.terminated or id(process) in self._queued_ids:
-            return
-        process.last_trigger = trigger
-        self._queued_ids.add(id(process))
-        self._runnable.append(process)
+    def make_runnable(self, process: Process,
+                      trigger: Optional[Event] = None) -> None:
+        """Queue ``process`` for the current evaluation phase, once."""
+        if not (process._queued or process._terminated):
+            process._queued = True
+            process.last_trigger = trigger
+            self._runnable.append(process)
 
-    def request_update(self, channel) -> None:
-        self._update_queue.append(channel)
+    def schedule(self, target, ticks: int) -> list:
+        """Fire the event, or wake the thread process, ``target`` at
+        ``ticks``; returns the handle :meth:`cancel_timed` takes.
 
-    def schedule_delta(self, event: Event) -> None:
-        self._delta_events.append(event)
-
-    def cancel_delta(self, event: Event) -> None:
-        if event in self._delta_events:
-            self._delta_events.remove(event)
-
-    def schedule_event(self, event: Event, ticks: int) -> _TimedEntry:
-        entry = _TimedEntry(ticks, self._next_seq(), event=event)
-        heapq.heappush(self._timed, entry)
+        The entry is a list so that it can be cancelled in place; the
+        heap orders entries in C on ``(ticks, seq)``, and ``seq`` is
+        unique, so entries due at one instant keep scheduling order.
+        """
+        self._seq += 1
+        entry = [ticks, self._seq, target]
+        heappush(self._timed, entry)
         return entry
 
-    def schedule_process_wake(self, process: Process, delay: SimTime) -> _TimedEntry:
-        entry = _TimedEntry(
-            self.now_ticks + delay.ticks, self._next_seq(), process=process
-        )
-        heapq.heappush(self._timed, entry)
-        return entry
-
-    def cancel_timed(self, entry: _TimedEntry) -> None:
-        entry.cancelled = True
-
-    def trigger_event_now(self, event: Event) -> None:
-        event._fire(self)
+    @staticmethod
+    def cancel_timed(entry: list) -> None:
+        entry[2] = None
 
     def stop(self) -> None:
         """Request the simulation to halt at the end of the current delta."""
         self._stop_requested = True
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     # -- the scheduler loop ----------------------------------------------------
 
@@ -185,20 +163,31 @@ class Kernel:
         # during initialize() and must already see the run boundary.
         self.run_limit_ticks = limit
         self.initialize()
+        timed = self._timed
         while not self._stop_requested:
-            entry = self._pop_next_timed()
-            if entry is None:
+            ticks = self.next_activity_ticks()
+            if ticks is None:
                 break
-            if limit is not None and entry.ticks > limit:
-                heapq.heappush(self._timed, entry)
+            if limit is not None and ticks > limit:
                 self.now_ticks = limit
                 break
-            self._advance_to(entry.ticks)
-            self._dispatch_timed(entry)
-            # Cancelled entries of this instant are skipped, not
-            # treated as its end.
-            while self._timed and self._timed[0].ticks == self.now_ticks:
-                self._dispatch_timed(heapq.heappop(self._timed))
+            if ticks < self.now_ticks:
+                raise SimulationError(
+                    "scheduler attempted to move time backwards")
+            self.now_ticks = ticks
+            for callback in self._time_callbacks:
+                callback(ticks)
+            # Every entry due now, in (ticks, seq) order; cancelled
+            # entries are skipped, not treated as the instant's end.
+            while timed and timed[0][0] == ticks:
+                target = heappop(timed)[2]
+                if target is None:
+                    continue
+                if isinstance(target, Event):
+                    target._fire(self)
+                else:
+                    target._timer_handle = None
+                    self.make_runnable(target)
             self._settle_current_time()
         if limit is not None and not self._stop_requested:
             self.now_ticks = max(self.now_ticks, limit)
@@ -207,64 +196,45 @@ class Kernel:
 
     def pending_activity(self) -> bool:
         """True if any timed notification remains scheduled."""
-        return any(not e.cancelled for e in self._timed)
+        return any(entry[2] is not None for entry in self._timed)
 
     def next_activity_ticks(self) -> Optional[int]:
-        while self._timed and self._timed[0].cancelled:
-            heapq.heappop(self._timed)
-        return self._timed[0].ticks if self._timed else None
+        timed = self._timed
+        while timed and timed[0][2] is None:
+            heappop(timed)
+        return timed[0][0] if timed else None
 
     # -- internals ----------------------------------------------------------
-
-    def _advance_to(self, ticks: int) -> None:
-        if ticks < self.now_ticks:
-            raise SimulationError("scheduler attempted to move time backwards")
-        self.now_ticks = ticks
-        for callback in self._time_callbacks:
-            callback(ticks)
-
-    def _pop_next_timed(self) -> Optional[_TimedEntry]:
-        while self._timed:
-            entry = heapq.heappop(self._timed)
-            if not entry.cancelled:
-                return entry
-        return None
-
-    def _dispatch_timed(self, entry: _TimedEntry) -> None:
-        if entry.cancelled:
-            return
-        if entry.event is not None:
-            entry.event._fire(self)
-        elif entry.process is not None:
-            entry.process._timer_handle = None
-            self.make_runnable(entry.process)
 
     def _settle_current_time(self) -> None:
         """Run delta cycles until the current time has no more activity."""
         histogram = self._h_events_per_delta
         fine = self._fine_tracer
-        while True:
-            if not (self._runnable or self._update_queue or self._delta_events):
-                return
+        while self._runnable or self._update_queue or self._delta_events:
             if fine is not None:
                 delta_start = _time.perf_counter()
             dispatched = 0
             # Evaluation phase.
             while self._runnable:
-                batch, self._runnable = self._runnable, []
-                self._queued_ids.clear()
-                dispatched += len(batch)
+                batch = self._runnable
+                self._runnable = []
                 for process in batch:
-                    self.activation_count += 1
+                    process._queued = False
+                count = len(batch)
+                dispatched += count
+                self.activation_count += count
+                for process in batch:
                     process._run(self)
                 if self._stop_requested:
                     return
             # Update phase.
-            updates, self._update_queue = self._update_queue, []
+            updates = self._update_queue
+            self._update_queue = []
             for channel in updates:
                 channel._update(self)
             # Delta notification phase.
-            deltas, self._delta_events = self._delta_events, []
+            deltas = self._delta_events
+            self._delta_events = []
             for event in deltas:
                 event._fire(self)
             self.delta_count += 1

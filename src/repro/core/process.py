@@ -74,15 +74,6 @@ class Process:
     def terminated(self) -> bool:
         return self._terminated
 
-    def clear_dynamic_waits(self) -> None:
-        """Drop all dynamic wait registrations (called when one fires)."""
-        for event in self._waiting_events:
-            event.remove_waiter(self)
-        self._waiting_events.clear()
-        if self._timer_handle is not None:
-            self._timer_handle.cancelled = True
-            self._timer_handle = None
-
     # -- execution (kernel-internal) ---------------------------------------
 
     def _run(self, kernel: "Kernel") -> None:
@@ -91,47 +82,45 @@ class Process:
         if self.kind == METHOD:
             self.func()
             return
-        self._resume_thread(kernel)
-
-    def _resume_thread(self, kernel: "Kernel") -> None:
-        if self._generator is None:
-            result = self.func()
-            if not inspect.isgenerator(result):
+        generator = self._generator
+        if generator is None:
+            generator = self.func()
+            if not inspect.isgenerator(generator):
                 # A thread body with no yields: runs once to completion.
                 self._finish(kernel)
                 return
-            self._generator = result
+            self._generator = generator
         try:
-            wait_request = next(self._generator)
+            request = next(generator)
         except StopIteration:
             self._finish(kernel)
             return
-        self._register_wait(kernel, wait_request)
-
-    def _register_wait(self, kernel: "Kernel", request) -> None:
         if isinstance(request, SimTime):
-            self._timer_handle = kernel.schedule_process_wake(self, request)
+            self._timer_handle = kernel.schedule(
+                self, kernel.now_ticks + request.ticks)
             return
-        if isinstance(request, Event):
-            request._attach_kernel(kernel)
-            request.add_waiter(self)
-            self._waiting_events.append(request)
-            return
-        if isinstance(request, Iterable):
-            events = list(request)
-            if not events or not all(isinstance(e, Event) for e in events):
-                raise SimulationError(
-                    f"process {self.name!r} yielded an invalid wait list"
-                )
-            for event in events:
-                event._attach_kernel(kernel)
-                event.add_waiter(self)
-                self._waiting_events.append(event)
-            return
-        raise SimulationError(
-            f"process {self.name!r} yielded invalid wait condition "
-            f"{request!r}; expected SimTime, Event, or iterable of Events"
-        )
+        events = (request,) if isinstance(request, Event) \
+            else self._wait_list(request)
+        for event in events:
+            event._kernel = kernel
+            if self not in event._dynamic_waiters:
+                event._dynamic_waiters.append(self)
+            self._waiting_events.append(event)
+
+    def _wait_list(self, request) -> list:
+        """The events of a wait-any request (an iterable of events)."""
+        if not isinstance(request, Iterable):
+            raise SimulationError(
+                f"process {self.name!r} yielded invalid wait condition "
+                f"{request!r}; expected SimTime, Event, or iterable of "
+                "Events"
+            )
+        events = list(request)
+        if not events or not all(isinstance(e, Event) for e in events):
+            raise SimulationError(
+                f"process {self.name!r} yielded an invalid wait list"
+            )
+        return events
 
     def _finish(self, kernel: "Kernel") -> None:
         self._terminated = True

@@ -22,10 +22,9 @@ class Signal(Generic[T]):
         self.name = name
         self._current: T = initial
         self._next: T = initial
-        self._update_requested = False
-        #: the kernel the pending update was queued on; a write seen by
-        #: a *different* kernel (a fresh Simulator after an old one)
-        #: must re-queue rather than trust the stale flag.
+        #: the kernel a pending update is queued on (None: no update
+        #: pending); a write seen by a *different* kernel (a fresh
+        #: Simulator after an old one) must queue again.
         self._requested_kernel = None
         self._changed_event = Event(f"{name}.value_changed")
         #: Delta count at which the value last changed (for ``event()``).
@@ -48,15 +47,13 @@ class Signal(Generic[T]):
 
     def write(self, value: T) -> None:
         self._next = value
-        kernel = Kernel.current()
+        kernel = Kernel._current
         if kernel is None:
             # Pre-simulation write: apply directly (initialization value).
             self._current = value
-            return
-        if not self._update_requested or self._requested_kernel is not kernel:
-            self._update_requested = True
+        elif self._requested_kernel is not kernel:
             self._requested_kernel = kernel
-            kernel.request_update(self)
+            kernel._update_queue.append(self)
 
     def default_event(self) -> Event:
         return self._changed_event
@@ -76,13 +73,14 @@ class Signal(Generic[T]):
     # -- kernel interface -----------------------------------------------------
 
     def _update(self, kernel: Kernel) -> None:
-        self._update_requested = False
+        self._requested_kernel = None
         if self._next != self._current:
             self._current = self._next
             self._change_delta = kernel.delta_count + 1
             self._change_ticks = kernel.now_ticks
-            self._changed_event._attach_kernel(kernel)
-            kernel.schedule_delta(self._changed_event)
+            event = self._changed_event
+            event._kernel = kernel
+            kernel._delta_events.append(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Signal({self.name!r}, value={self._current!r})"
@@ -103,12 +101,17 @@ class BitSignal(Signal[bool]):
         return self._negedge
 
     def write(self, value) -> None:
-        super().write(bool(value))
+        Signal.write(self, bool(value))
 
     def _update(self, kernel: Kernel) -> None:
-        old = self._current
-        super()._update(kernel)
-        if self._current != old:
-            edge = self._posedge if self._current else self._negedge
-            edge._attach_kernel(kernel)
-            kernel.schedule_delta(edge)
+        self._requested_kernel = None
+        value = self._next
+        if value != self._current:
+            self._current = value
+            self._change_delta = kernel.delta_count + 1
+            self._change_ticks = kernel.now_ticks
+            changed = self._changed_event
+            edge = self._posedge if value else self._negedge
+            changed._kernel = edge._kernel = kernel
+            # The value-changed event fires before the edge event.
+            kernel._delta_events += (changed, edge)
