@@ -110,7 +110,7 @@ class Kernel:
 
     def make_runnable(self, process: Process,
                       trigger: Optional[Event] = None) -> None:
-        """Queue ``process`` for the current evaluation phase, once."""
+        """Queue ``process`` to run unless it is queued or terminated."""
         if not (process._queued or process._terminated):
             process._queued = True
             process.last_trigger = trigger

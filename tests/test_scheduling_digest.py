@@ -4,10 +4,10 @@ Each model below runs with every process body wrapped so that each
 activation appends ``(now_ticks, delta_count, process name)`` to a
 record.  The record, the kernel/TDF/solver counters of
 ``metrics_snapshot()`` and the model's output streams are hashed with
-SHA-256 and compared with a digest recorded before the scheduler hot
-path was optimized: a change to the kernel that is meant to be a pure
-speed-up must leave the process order in each evaluation phase, the
-delta and timed-event order and every simulated statistic unchanged.
+SHA-256 and compared with a golden digest: a change to the kernel that
+is meant to be a pure speed-up must leave the process order in each
+evaluation phase, the delta and timed-event order and every simulated
+statistic unchanged.
 
 Float streams are rounded to 9 decimals before hashing so the digest
 does not depend on last-bit differences between numerical libraries.
@@ -212,7 +212,7 @@ def _rtl_digest():
     return _digest(sim, record, streams)
 
 
-#: Digests recorded before the scheduler hot path was optimized.
+#: SHA-256 digests of the reference scheduling of each model.
 GOLDEN = {
     "adsl-seed-1":
         "2daf6c61d0878147f53aa6a98071fd69ad6b25e6be2114754dcff4bb85fafbd6",
