@@ -210,14 +210,15 @@ class Kernel:
         """Run delta cycles until the current time has no more activity."""
         histogram = self._h_events_per_delta
         fine = self._fine_tracer
-        while self._runnable or self._update_queue or self._delta_events:
+        while True:
+            if not (self._runnable or self._update_queue or self._delta_events):
+                return
             if fine is not None:
                 delta_start = _time.perf_counter()
             dispatched = 0
             # Evaluation phase.
             while self._runnable:
-                batch = self._runnable
-                self._runnable = []
+                batch, self._runnable = self._runnable, []
                 for process in batch:
                     process._queued = False
                 count = len(batch)
@@ -228,13 +229,11 @@ class Kernel:
                 if self._stop_requested:
                     return
             # Update phase.
-            updates = self._update_queue
-            self._update_queue = []
+            updates, self._update_queue = self._update_queue, []
             for channel in updates:
                 channel._update(self)
             # Delta notification phase.
-            deltas = self._delta_events
-            self._delta_events = []
+            deltas, self._delta_events = self._delta_events, []
             for event in deltas:
                 event._fire(self)
             self.delta_count += 1
