@@ -114,7 +114,7 @@ class CtTdfModule(TdfModule):
                 solver.telemetry = telemetry
                 solver.monitor.telemetry = telemetry
         self._solver = solver
-        self._solver.initialize(0.0)
+        solver.initialize(0.0, self._initial_state())
 
     def solver_metrics(self) -> dict:
         """Fallback-tier and health statistics (resilient modules)."""
@@ -395,6 +395,11 @@ class CtTdfModule(TdfModule):
 
     def _make_solver(self) -> TransientSolver:
         raise NotImplementedError
+
+    def _initial_state(self) -> Optional[np.ndarray]:
+        """The consistent initial state the solver starts from; None
+        lets the solver compute its own DC operating point."""
+        return None
 
     def _install_solver(self, primary: TransientSolver) -> None:
         """Adopt a rebuilt primary, preserving a resilient wrapper."""
@@ -766,18 +771,17 @@ class LsfTdfModule(CtTdfModule):
 
     def _make_solver(self) -> TransientSolver:
         dae, self._lsf_index = self.network.assemble()
-        x0 = self._lsf_index.initial_state()
         h_internal = None
         if self.timestep is not None and self.oversample > 1:
             h_internal = self.timestep.to_seconds() / self.oversample
-        solver = LinearTransientSolver(dae, h_internal=h_internal,
-                                       method=self.method,
-                                       variant=self.solver_variant)
-        solver.initialize(0.0, x0=x0)
-        # Re-initialization in CtTdfModule.initialize would discard x0;
-        # wrap initialize to preserve the consistent initial state.
-        solver.initialize = lambda t0=0.0, x0=x0: _reinit(solver, t0, x0)
-        return solver
+        return LinearTransientSolver(dae, h_internal=h_internal,
+                                     method=self.method,
+                                     variant=self.solver_variant)
+
+    def _initial_state(self) -> np.ndarray:
+        # Integrator outputs start at their declared initial values,
+        # which a DC solve of the singular G cannot give.
+        return self._lsf_index.initial_state()
 
     @property
     def lsf_index(self):
@@ -792,12 +796,6 @@ class LsfTdfModule(CtTdfModule):
         if index is None or not isinstance(extract, _DeferredLsfSignal):
             return None
         return states[:, index.signal_index(extract.signal)]
-
-
-def _reinit(solver: LinearTransientSolver, t0: float, x0):
-    solver._t = t0
-    solver._x = np.asarray(x0, dtype=float)
-    return solver._x
 
 
 class _DeferredLsfSignal:

@@ -255,37 +255,50 @@ class TestOversampledStepCount:
             == 2 * (activations - 1)
 
 
+class LsfLowpassTop(Module):
+    """Unit step through a first-order LSF low-pass (time constant
+    ``tau``); ``lsf_kwargs`` go to the :class:`LsfTdfModule`."""
+
+    def __init__(self, tau=1e-3, **lsf_kwargs):
+        super().__init__("top")
+        self.s_in = TdfSignal("s_in")
+        self.s_out = TdfSignal("s_out")
+        self.src = StepSource("src", self, timestep=us(10))
+        lsf = LsfNetwork()
+        u = lsf.signal("u")
+        y = lsf.signal("y")
+        lsf.add(LsfSource("src", u))
+        lsf.add(LsfLtfNd("filt", u, y, num=[1.0], den=[1.0, tau]))
+        self.filt = LsfTdfModule("filt", lsf, parent=self, oversample=4,
+                                 **lsf_kwargs)
+        self.rec = Recorder("rec", self)
+        self.src.out(self.s_in)
+        self.filt.drive(u)(self.s_in)
+        self.filt.sample(y)(self.s_out)
+        self.rec.inp(self.s_out)
+
+
 class TestLsfTdf:
     def test_lowpass_filter_in_tdf_chain(self):
         tau = 1e-3
-
-        class Top(Module):
-            def __init__(self):
-                super().__init__("top")
-                self.s_in = TdfSignal("s_in")
-                self.s_out = TdfSignal("s_out")
-                self.src = StepSource("src", self, timestep=us(10))
-                lsf = LsfNetwork()
-                u = lsf.signal("u")
-                y = lsf.signal("y")
-                lsf.add(LsfSource("src", u))
-                lsf.add(LsfLtfNd("filt", u, y, num=[1.0],
-                                 den=[1.0, tau]))
-                self.filt = LsfTdfModule("filt", lsf, parent=self,
-                                         oversample=4)
-                self.rec = Recorder("rec", self)
-                self.src.out(self.s_in)
-                self.filt.drive(u)(self.s_in)
-                self.filt.sample(y)(self.s_out)
-                self.rec.inp(self.s_out)
-
-        top = Top()
+        top = LsfLowpassTop(tau)
         sim = Simulator(top)
         sim.run(SimTime(5, "ms"))
         t = np.array(top.rec.times)
         v = np.array(top.rec.samples)
         expected = 1 - np.exp(-t[5:] / tau)
         np.testing.assert_allclose(v[5:], expected, atol=0.02)
+
+    def test_resilient_lowpass_matches_plain(self):
+        # The resilient wrapper starts from the LSF network's consistent
+        # initial state, exactly like the plain solver.
+        plain = LsfLowpassTop()
+        Simulator(plain).run(SimTime(5, "ms"))
+        resilient = LsfLowpassTop(resilient=True)
+        Simulator(resilient).run(SimTime(5, "ms"))
+        assert resilient.filt._solver.tier_counts["primary"] > 0
+        assert np.asarray(resilient.rec.samples).tobytes() == \
+            np.asarray(plain.rec.samples).tobytes()
 
     def test_drive_requires_source_block(self):
         from repro.core import ElaborationError
