@@ -4,8 +4,8 @@ For each model in :mod:`models` the harness runs the same simulation
 twice — once with ``tdf_block=False`` (the scalar reference engine) and
 once with block mode on — checks the recorded output streams are
 bit-identical, and reports samples/sec plus the block/scalar speedup.
-A third short profiled run (``Simulator.enable_profiling``) attributes
-wall-clock time to individual modules.
+A third short run with telemetry (``Simulator(observe="metrics")``)
+attributes wall-clock time to individual modules.
 
 Usage::
 
@@ -50,7 +50,8 @@ BLOCK_COMPACT = 4096
 
 def run_model(builder, duration_us: float, *, block: bool,
               profile: bool = False):
-    """One timed simulation.
+    """One timed simulation (``profile`` installs a metrics-only
+    telemetry hub, which times every module).
 
     Returns ``(wall_s, cpu_s, times, samples, sim)`` — wall clock for
     human-facing throughput, process CPU time for the regression gate
@@ -62,9 +63,8 @@ def run_model(builder, duration_us: float, *, block: bool,
         tdf_block=block,
         tdf_batch=BLOCK_BATCH if block else 1,
         tdf_compact_every=BLOCK_COMPACT,
+        observe="metrics" if profile else None,
     )
-    if profile:
-        sim.enable_profiling()
     sim.elaborate()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -106,13 +106,17 @@ def measure(name: str, builder, duration_us: float,
     }
 
 
+#: metric key prefix of the per-module wall time
+MODULE_SECONDS = "tdf.module_seconds[module="
+
+
 def profile_model(builder, duration_us: float, top_n: int = 8) -> dict:
-    """Per-module seconds from a short profiled block run."""
+    """Per-module seconds from a short block run with telemetry."""
     _wall, _cpu, _t, _x, sim = run_model(builder, duration_us,
                                          block=True, profile=True)
-    seconds: dict[str, float] = {}
-    for cluster in sim.profile()["clusters"].values():
-        seconds.update(cluster["module_seconds"])
+    seconds = {key[len(MODULE_SECONDS):-1]: value
+               for key, value in sim.telemetry.metrics.scalars().items()
+               if key.startswith(MODULE_SECONDS)}
     ranked = sorted(seconds.items(), key=lambda kv: -kv[1])[:top_n]
     return {module: round(secs, 6) for module, secs in ranked}
 

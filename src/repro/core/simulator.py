@@ -18,6 +18,25 @@ from .module import Module
 from .time import SimTime
 from .trace import Trace
 
+#: Totals :meth:`Simulator.metrics_snapshot` always reports, zero when
+#: nothing in the design counts them.
+SNAPSHOT_TOTALS = (
+    "tdf.periods", "tdf.activations",
+    "solver.steps", "solver.rejected", "solver.newton_iterations",
+    "solver.factorizations", "solver.refactorizations",
+    "solver.expm_cache_hits", "ct.skipped_activations",
+    "resilience.tier.primary", "resilience.tier.halved",
+    "resilience.tier.bdf", "health.checked_steps", "health.violations",
+)
+
+#: Module counters the snapshot also reports per module, under
+#: ``<name>[module=<full name>]``.
+PER_MODULE_KEYS = frozenset((
+    "solver.steps", "solver.rejected", "solver.segments",
+    "solver.factorizations", "solver.refactorizations",
+    "solver.expm_cache_hits",
+))
+
 
 class Simulator:
     """Owns one kernel and one elaborated design."""
@@ -63,7 +82,9 @@ class Simulator:
         self.tdf_block = tdf_block
         self.tdf_batch = tdf_batch
         self.tdf_compact_every = tdf_compact_every
-        self._profiling = False
+        #: the TDF layer's :class:`~repro.tdf.TdfRegistry`, created when
+        #: the first TDF module elaborates (None in a pure-DE design).
+        self.tdf_registry = None
         #: set by run(checkpoint_every=...); reusable for postmortems.
         self.checkpoint_manager = None
 
@@ -239,13 +260,15 @@ class Simulator:
 
     # -- checkpoint/restart (see repro.resilience.checkpoint) ---------------
 
+    def _clusters(self) -> list:
+        registry = self.tdf_registry
+        return registry.clusters if registry is not None else []
+
     def capture_checkpoint(self) -> dict:
         """Picklable snapshot of the kernel clock and all TDF clusters."""
-        registry = getattr(self, "_tdf_registry", None)
-        clusters = registry.clusters if registry is not None else []
         return {
             "now_ticks": self.kernel.now_ticks,
-            "clusters": [c.checkpoint_state() for c in clusters],
+            "clusters": [c.checkpoint_state() for c in self._clusters()],
         }
 
     def restore_checkpoint(self, payload: dict) -> SimTime:
@@ -263,8 +286,7 @@ class Simulator:
                 "(restore before the first run)"
             )
         self.elaborate()
-        registry = getattr(self, "_tdf_registry", None)
-        clusters = registry.clusters if registry is not None else []
+        clusters = self._clusters()
         saved = payload["clusters"]
         if len(saved) != len(clusters):
             raise SimulationError(
@@ -276,145 +298,41 @@ class Simulator:
         self.kernel.now_ticks = int(payload["now_ticks"])
         return self.kernel.now
 
-    # -- profiling -----------------------------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Record per-module wall-clock time inside every TDF cluster.
-
-        Call before or after elaboration but before :meth:`run`;
-        results come back through :meth:`profile`.
-        """
-        self._profiling = True
-        registry = getattr(self, "_tdf_registry", None)
-        if registry is not None:
-            for cluster in registry.clusters:
-                cluster.enable_profiling()
-
-    def profile(self) -> dict:
-        """Per-cluster/per-module time accounting (see
-        :meth:`enable_profiling`).
-
-        Returns ``{"clusters": {name: {"periods", "module_seconds",
-        "module_activations", "block_activations", "total_seconds"}},
-        "total_seconds": float}`` — wall-clock seconds spent inside
-        module activations, keyed by module ``full_name``.
-        """
-        registry = getattr(self, "_tdf_registry", None)
-        clusters = registry.clusters if registry is not None else []
-        report: dict = {"clusters": {}, "total_seconds": 0.0}
-        for cluster in clusters:
-            prof = cluster._profile
-            if prof is None:
-                continue
-            total = sum(prof["module_seconds"].values())
-            report["clusters"][cluster.name] = {
-                "periods": prof["periods"],
-                "module_seconds": dict(prof["module_seconds"]),
-                "module_activations": dict(prof["module_activations"]),
-                "block_activations": dict(prof["block_activations"]),
-                "total_seconds": total,
-            }
-            report["total_seconds"] += total
-        return report
-
     # -- telemetry (see repro.observe) ---------------------------------------
 
     def metrics_snapshot(self) -> dict:
         """Flat ``{metric_key: number}`` harvest of the engine's state.
 
-        Works with or without an installed telemetry hub: kernel
-        counters, TDF cluster/module activation counts, embedded-solver
-        step statistics, resilience tier counts (zero-defaulted so the
-        keys are always present) and health-guard totals are read from
-        the live objects; live registry metrics (per-MoC wall time,
-        histograms as ``.count/.sum/.p95``) are merged in when
-        telemetry is enabled.  Campaign runs store this mapping on each
-        :class:`~repro.campaign.records.RunRecord`.
+        Works with or without an installed telemetry hub.  Kernel
+        counters come from the kernel; everything else is a fold over
+        the ``stats()`` of every TDF cluster and module (an embedded
+        solver reports through its module): the :data:`PER_MODULE_KEYS`
+        are also keyed per module, and the :data:`SNAPSHOT_TOTALS` are
+        summed and always present.  Live registry metrics (per-MoC and
+        per-module wall time, histograms as ``.count/.sum/.p95``) are
+        merged in when telemetry is enabled.  Campaign runs store this
+        mapping on each :class:`~repro.campaign.records.RunRecord`.
         """
         snap: dict = {
             "kernel.delta_cycles": float(self.kernel.delta_count),
             "kernel.activations": float(self.kernel.activation_count),
             "kernel.now_ticks": float(self.kernel.now_ticks),
         }
-        registry = getattr(self, "_tdf_registry", None)
-        clusters = registry.clusters if registry is not None else []
-        total_periods = 0
-        total_activations = 0
-        for cluster in clusters:
-            total_periods += cluster.period_count
+        totals = dict.fromkeys(SNAPSHOT_TOTALS, 0.0)
+        for cluster in self._clusters():
+            for key, value in cluster.stats().items():
+                totals[key] += value
             for module in cluster.modules:
-                total_activations += module.activation_count
-            profile = cluster._profile
-            if profile:
-                # enable_profiling() shim: fold its per-module wall
-                # clock into the unified dump.
-                for name, seconds in profile["module_seconds"].items():
-                    snap[f"tdf.module_seconds[module={name}]"] = \
-                        float(seconds)
-        snap["tdf.periods"] = float(total_periods)
-        snap["tdf.activations"] = float(total_activations)
-
-        from ..sync.ct_modules import CtTdfModule
-
-        tiers = {"primary": 0.0, "halved": 0.0, "bdf": 0.0}
-        steps = rejected = iterations = 0.0
-        checked = violations = skipped = 0.0
-        factorizations = refactorizations = expm_hits = 0.0
-        for module in self.top.walk():
-            if not isinstance(module, CtTdfModule):
-                continue
-            solver = module._solver
-            if solver is None:
-                continue
-            name = module.full_name()
-            skipped += module.skipped_activations
-            primary = getattr(solver, "primary", solver)
-            count = getattr(primary, "step_count", None)
-            if count is not None:
-                steps += count
-                snap[f"solver.steps[module={name}]"] = float(count)
-            count = getattr(primary, "rejected_count", None)
-            if count is not None:
-                rejected += count
-                snap[f"solver.rejected[module={name}]"] = float(count)
-            count = getattr(primary, "segment_count", None)
-            if count is not None:
-                snap[f"solver.segments[module={name}]"] = float(count)
-            for stepper_name in ("_be", "_trap"):
-                stepper = getattr(primary, stepper_name, None)
-                iterations += getattr(stepper, "newton_iterations", 0)
-            stepper = getattr(primary, "_stepper", None)
-            count = getattr(stepper, "factorizations", None)
-            if count is not None:
-                factorizations += count
-                snap[f"solver.factorizations[module={name}]"] = \
-                    float(count)
-                refactorizations += stepper.refactorizations
-                snap[f"solver.refactorizations[module={name}]"] = \
-                    float(stepper.refactorizations)
-            count = getattr(stepper, "expm_cache_hits", None)
-            if count is not None:
-                expm_hits += count
-                snap[f"solver.expm_cache_hits[module={name}]"] = \
-                    float(count)
-            for tier, count in getattr(solver, "tier_counts",
-                                       {}).items():
-                tiers[tier] = tiers.get(tier, 0.0) + count
-            monitor = getattr(solver, "monitor", None)
-            if monitor is not None:
-                checked += monitor.checked_steps
-                violations += monitor.violations
-        snap["solver.steps"] = steps
-        snap["solver.rejected"] = rejected
-        snap["solver.newton_iterations"] = iterations
-        snap["solver.factorizations"] = factorizations
-        snap["solver.refactorizations"] = refactorizations
-        snap["solver.expm_cache_hits"] = expm_hits
-        snap["ct.skipped_activations"] = skipped
-        for tier, count in tiers.items():
-            snap[f"resilience.tier.{tier}"] = float(count)
-        snap["health.checked_steps"] = checked
-        snap["health.violations"] = violations
+                stats = module.stats()
+                if not stats:
+                    continue
+                name = module.full_name()
+                for key, value in stats.items():
+                    if key in PER_MODULE_KEYS:
+                        snap[f"{key}[module={name}]"] = float(value)
+                    if key in totals:
+                        totals[key] += value
+        snap.update(totals)
         if self.telemetry is not None:
             snap.update(self.telemetry.metrics.scalars())
         return snap

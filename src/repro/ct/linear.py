@@ -291,6 +291,12 @@ class _FactorCacheMixin:
         self._pending_refactor = True
         self._fac = self._factors(self.h)
 
+    def stats(self) -> dict:
+        """Factorization effort under its ``metrics_snapshot`` names
+        (see :meth:`repro.ct.TransientSolver.stats`)."""
+        return {"solver.factorizations": self.factorizations,
+                "solver.refactorizations": self.refactorizations}
+
     def step_block(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Advance through ``len(times)`` consecutive steps of the
         current ``h`` (``times[k]`` is the start of step ``k``).
@@ -583,10 +589,10 @@ class ExpmStepper(_FactorCacheMixin):
         return _ExpmFactors(phi, np.ascontiguousarray(P_now),
                             np.ascontiguousarray(P_next))
 
-    @property
-    def expm_cache_hits(self) -> int:
-        """Alias for :attr:`cache_hits` (metrics naming)."""
-        return self.cache_hits
+    def stats(self) -> dict:
+        stats = super().stats()
+        stats["solver.expm_cache_hits"] = self.cache_hits
+        return stats
 
     def step(self, x: np.ndarray, t: float) -> np.ndarray:
         """Advance from time ``t`` to ``t + h``."""

@@ -60,6 +60,17 @@ class TransientSolver(abc.ABC):
     def state(self) -> np.ndarray:
         """Current solver state vector."""
 
+    def stats(self) -> dict:
+        """Effort counters under their ``metrics_snapshot`` names, e.g.
+        ``{"solver.steps": 120}``; a fresh dict the caller may keep.
+
+        The embedding module reports them and
+        :meth:`~repro.core.Simulator.metrics_snapshot` folds them into
+        per-module keys and totals.  A solver with nothing to count
+        keeps this default.
+        """
+        return {}
+
     # -- checkpoint support (see repro.resilience.checkpoint) ---------------
 
     def state_dict(self) -> dict:
@@ -206,6 +217,12 @@ class LinearTransientSolver(TransientSolver):
     def state(self) -> np.ndarray:
         return self._x
 
+    def stats(self) -> dict:
+        stats = {"solver.steps": self.step_count}
+        if self._stepper is not None:
+            stats.update(self._stepper.stats())
+        return stats
+
     def state_dict(self) -> dict:
         data = super().state_dict()
         data["step_count"] = self.step_count
@@ -326,6 +343,13 @@ class NonlinearTransientSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    def stats(self) -> dict:
+        iterations = (self._be.newton_iterations
+                      + self._trap.newton_iterations)
+        return {"solver.steps": self.step_count,
+                "solver.rejected": self.rejected_count,
+                "solver.newton_iterations": iterations}
 
     def state_dict(self) -> dict:
         data = super().state_dict()
@@ -482,6 +506,9 @@ class ScipyIvpSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    def stats(self) -> dict:
+        return {"solver.segments": self.segment_count}
 
     def state_dict(self) -> dict:
         data = super().state_dict()

@@ -17,14 +17,16 @@ stand on:
 
 Everything hangs off one :class:`Telemetry` hub, installed with
 ``Simulator(top, observe=True)`` (or an explicit ``Telemetry``
-instance).  When no hub is installed the instrumented layers skip
-their guards entirely — the disabled path costs one ``is None`` test
-per cluster wake-up, nothing per sample.
+instance).  It is the only timing channel: with a hub installed, each
+TDF cluster adds the wall time of every schedule entry to
+``tdf.module_seconds[module=<name>]``.  When no hub is installed the
+instrumented layers skip their guards entirely — the disabled path
+costs one ``is None`` test per cluster wake-up, nothing per sample.
 
-Pre-existing ad-hoc channels — ``Simulator.enable_profiling``,
-``ResilientTransientSolver.tier_log``, ``HealthMonitor`` statistics —
-remain as compatibility shims and additionally feed this event bus
-when a hub is present.
+Effort counters that need no clock (solver steps, factorizations,
+resilience tiers, health checks) are not metrics of the hub: solvers
+and modules report them through ``stats()``, and
+``Simulator.metrics_snapshot`` folds them in with or without a hub.
 """
 
 from __future__ import annotations

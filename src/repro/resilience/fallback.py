@@ -13,9 +13,10 @@ ladder:
    the result is adopted back into the primary so later intervals run
    at full speed again.
 
-Which tier served each interval is recorded in ``tier_counts`` /
-``tier_log`` — recovery is observable, not silent.  If every tier
-fails, the raised :class:`~repro.core.errors.SolverError` carries a
+Which tier served each interval is counted in ``tier_counts`` and
+reported by :meth:`~ResilientTransientSolver.stats` — recovery is
+observable, not silent.  If every tier fails, the raised
+:class:`~repro.core.errors.SolverError` carries a
 :class:`~repro.resilience.health.DiagnosticReport` (failure time, last
 good state, residual history, tiers attempted, underlying error chain)
 instead of a bare message.
@@ -37,9 +38,6 @@ from ..ct.solver_api import (
     TransientSolver,
 )
 from .health import HealthMonitor, attach_diagnostic
-
-#: maximum retained entries of the per-interval tier log.
-TIER_LOG_LIMIT = 4096
 
 
 class ResilientTransientSolver(TransientSolver):
@@ -65,8 +63,8 @@ class ResilientTransientSolver(TransientSolver):
     """
 
     #: Telemetry hub (:mod:`repro.observe`), installed by the embedding
-    #: CtTdfModule; ``tier_counts``/``tier_log`` remain the shim API and
-    #: keep working with or without it.
+    #: CtTdfModule; ``tier_counts`` and :meth:`stats` work with or
+    #: without it.
     telemetry = None
 
     def __init__(self, primary: TransientSolver,
@@ -83,7 +81,6 @@ class ResilientTransientSolver(TransientSolver):
         self.bdf_rtol = bdf_rtol
         self.bdf_atol = bdf_atol
         self.tier_counts = {"primary": 0, "halved": 0, "bdf": 0}
-        self.tier_log: list[tuple[float, str]] = []
         self._fallback = fallback
         self._fallback_built = fallback is not None
         self._user_fallback = fallback
@@ -203,7 +200,7 @@ class ResilientTransientSolver(TransientSolver):
 
     def replace_primary(self, primary: TransientSolver) -> None:
         """Swap in a rebuilt primary (e.g. after a topology change),
-        keeping the monitor, tier counters and log."""
+        keeping the monitor and tier counters."""
         self.primary = primary
         if hasattr(primary, "monitor"):
             primary.monitor = self.monitor
@@ -228,15 +225,15 @@ class ResilientTransientSolver(TransientSolver):
 
     # -- observability ------------------------------------------------------
 
-    def metrics(self) -> dict:
-        """Per-tier interval counts plus guard statistics."""
-        return {
-            "tiers": dict(self.tier_counts),
-            "recovered_intervals": (self.tier_counts["halved"]
-                                    + self.tier_counts["bdf"]),
-            "checked_steps": self.monitor.checked_steps,
-            "health_violations": self.monitor.violations,
-        }
+    def stats(self) -> dict:
+        """The primary's stats plus the intervals each tier served
+        (``resilience.tier.<tier>``) and the health guard's totals."""
+        stats = self.primary.stats()
+        for tier, count in self.tier_counts.items():
+            stats[f"resilience.tier.{tier}"] = count
+        stats["health.checked_steps"] = self.monitor.checked_steps
+        stats["health.violations"] = self.monitor.violations
+        return stats
 
     # -- checkpoint support -------------------------------------------------
 
@@ -262,8 +259,6 @@ class ResilientTransientSolver(TransientSolver):
 
     def _record(self, tier: str, t: float) -> None:
         self.tier_counts[tier] += 1
-        if len(self.tier_log) < TIER_LOG_LIMIT:
-            self.tier_log.append((float(t), tier))
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.metrics.counter("resilience.tier", tier=tier).inc()

@@ -118,8 +118,8 @@ class HealthMonitor:
     """
 
     #: Telemetry hub (:mod:`repro.observe`), installed alongside the
-    #: resilient wrapper; ``checked_steps``/``violations`` remain the
-    #: shim API either way.
+    #: resilient wrapper; ``checked_steps``/``violations`` count either
+    #: way, and the wrapper's ``stats()`` reports them.
     telemetry = None
 
     def __init__(self, overflow_limit: float = 1e100,

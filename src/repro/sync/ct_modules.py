@@ -116,10 +116,14 @@ class CtTdfModule(TdfModule):
         self._solver = solver
         solver.initialize(0.0, self._initial_state())
 
-    def solver_metrics(self) -> dict:
-        """Fallback-tier and health statistics (resilient modules)."""
-        metrics = getattr(self._solver, "metrics", None)
-        return metrics() if metrics is not None else {}
+    def stats(self) -> dict:
+        """The solver's :meth:`~repro.ct.TransientSolver.stats` plus the
+        activations gating skipped; empty before elaboration."""
+        if self._solver is None:
+            return {}
+        stats = self._solver.stats()
+        stats["ct.skipped_activations"] = self.skipped_activations
+        return stats
 
     def processing(self) -> None:
         solver = self._solver
@@ -854,10 +858,7 @@ class NonlinearTdfModule(CtTdfModule):
 
     @property
     def internal_steps(self) -> int:
-        if self._solver is None:
-            return 0
-        solver = getattr(self._solver, "primary", self._solver)
-        return solver.step_count
+        return self.stats().get("solver.steps", 0)
 
 
 class SolverTdfModule(CtTdfModule):

@@ -67,15 +67,13 @@ class TdfRegistry:
         for k, members in enumerate(clusters):
             cluster = TdfCluster(
                 f"cluster{k}", members,
-                block_mode=getattr(simulator, "tdf_block", True),
-                batch=getattr(simulator, "tdf_batch", 16),
-                compact_every=getattr(simulator, "tdf_compact_every", 64),
-                telemetry=getattr(simulator, "telemetry", None),
+                block_mode=simulator.tdf_block,
+                batch=simulator.tdf_batch,
+                compact_every=simulator.tdf_compact_every,
+                telemetry=simulator.telemetry,
             )
             cluster.elaborate()
             cluster.install(simulator.kernel)
-            if getattr(simulator, "_profiling", False):
-                cluster.enable_profiling()
             self.clusters.append(cluster)
 
 
@@ -133,6 +131,11 @@ class TdfCluster:
                 "tdf.buffer_occupancy", cluster=name)
             self._m_sync_in = metrics.counter("sync.de_to_tdf.samples")
             self._m_sync_out = metrics.counter("sync.tdf_to_de.samples")
+            #: wall time inside each module's schedule entries
+            self._m_module_seconds = {
+                module: metrics.counter("tdf.module_seconds",
+                                        module=module.full_name())
+                for module in modules}
         self.period: Optional[SimTime] = None
         self.repetitions: dict[int, int] = {}
         self.schedule: list[TdfModule] = []
@@ -146,9 +149,6 @@ class TdfCluster:
         self._entry_cache: dict[int, list] = {}
         #: decided during elaborate(): may this cluster batch periods?
         self._batch_safe = False
-        #: per-module wall-clock accounting, enabled by
-        #: Simulator.enable_profiling().
-        self._profile: Optional[dict] = None
         #: the kernel this cluster was installed on (set by install()).
         self._kernel = None
         self._signals: list = []
@@ -457,7 +457,7 @@ class TdfCluster:
             converter.sample()
         base = self.period_count * self.period.ticks
         self.epoch_ticks = 0  # local time is measured from t=0
-        if self._profile is None:
+        if telemetry is None:
             for module, count, use_block in self._entries_for(n):
                 if use_block:
                     module._activate_block(count)
@@ -465,7 +465,16 @@ class TdfCluster:
                     for _ in range(count):
                         module._activate()
         else:
-            self._execute_profiled(n)
+            module_seconds = self._m_module_seconds
+            for module, count, use_block in self._entries_for(n):
+                entry_start = _time.perf_counter()
+                if use_block:
+                    module._activate_block(count)
+                else:
+                    for _ in range(count):
+                        module._activate()
+                module_seconds[module].inc(
+                    _time.perf_counter() - entry_start)
         if telemetry is not None and self._de_outputs:
             self._m_sync_out.inc(
                 sum(len(c._queue) for c in self._de_outputs))
@@ -497,39 +506,12 @@ class TdfCluster:
                 self.period_count // self.compact_every + 1
             )
 
-    def _execute_profiled(self, n: int) -> None:
-        prof = self._profile
-        for module, count, use_block in self._entries_for(n):
-            name = module.full_name()
-            start = _time.perf_counter()
-            if use_block:
-                module._activate_block(count)
-            else:
-                for _ in range(count):
-                    module._activate()
-            elapsed = _time.perf_counter() - start
-            prof["module_seconds"][name] = (
-                prof["module_seconds"].get(name, 0.0) + elapsed
-            )
-            prof["module_activations"][name] = (
-                prof["module_activations"].get(name, 0) + count
-            )
-            if use_block:
-                prof["block_activations"][name] = (
-                    prof["block_activations"].get(name, 0) + count
-                )
-        prof["periods"] = prof.get("periods", 0) + n
-
-    def enable_profiling(self) -> dict:
-        """Turn on per-module wall-clock accounting; returns the dict."""
-        if self._profile is None:
-            self._profile = {
-                "module_seconds": {},
-                "module_activations": {},
-                "block_activations": {},
-                "periods": 0,
-            }
-        return self._profile
+    def stats(self) -> dict:
+        """Periods run and module activations under their
+        ``metrics_snapshot`` names."""
+        return {"tdf.periods": self.period_count,
+                "tdf.activations": sum(module.activation_count
+                                       for module in self.modules)}
 
     def _compact(self) -> None:
         if self.telemetry is not None:

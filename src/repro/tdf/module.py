@@ -154,10 +154,10 @@ class TdfModule(Module):
     def ams_elaborate(self, simulator) -> None:
         from .cluster import TdfRegistry
 
-        registry = getattr(simulator, "_tdf_registry", None)
+        registry = simulator.tdf_registry
         if registry is None:
             registry = TdfRegistry()
-            simulator._tdf_registry = registry
+            simulator.tdf_registry = registry
             simulator.add_elaboration_finalizer(registry.finalize)
         registry.add_module(self)
         for port in self.tdf_ports():
@@ -189,6 +189,12 @@ class TdfModule(Module):
             self.activation_count += 1
         self._activation_index -= n
         self.activation_count -= n
+
+    def stats(self) -> dict:
+        """Effort counters under their ``metrics_snapshot`` names (see
+        :meth:`repro.ct.TransientSolver.stats`); a module that embeds a
+        solver reports it here."""
+        return {}
 
     # -- checkpoint hooks -------------------------------------------------------
 

@@ -279,7 +279,7 @@ class TestMultipleClusters:
         sim.run(us(70))
         assert len(top.fast_sink.samples) == 71
         assert len(top.slow_sink.samples) == 11
-        registry = sim._tdf_registry
+        registry = sim.tdf_registry
         assert len(registry.clusters) == 2
         periods = sorted(c.period.ticks for c in registry.clusters)
         assert periods == [us(1).ticks, us(7).ticks]

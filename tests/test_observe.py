@@ -360,7 +360,7 @@ class TestSimulatorIntegration:
         assert simulator.telemetry is None
         assert simulator.kernel.telemetry is None
         assert simulator.kernel._h_events_per_delta is None
-        for cluster in simulator._tdf_registry.clusters:
+        for cluster in simulator.tdf_registry.clusters:
             assert cluster.telemetry is None
         for module in simulator.top.walk():
             assert getattr(module, "_telemetry", None) is None
@@ -417,6 +417,24 @@ class TestSimulatorIntegration:
         # still present (zero-defaulted)
         assert snap["resilience.tier.primary"] == 0.0
         assert simulator.telemetry.tracer.open_spans() == []
+
+    def test_module_seconds_only_with_telemetry(self):
+        # Telemetry is the one timing channel: each TDF module's wall
+        # time is a counter of the hub, and the snapshot adds exactly
+        # the registry's metrics to the telemetry-off keys.
+        plain = Simulator(RcTop())
+        plain.run(ms(2))
+        assert not any(key.startswith("tdf.module_seconds")
+                       for key in plain.metrics_snapshot())
+        simulator = Simulator(RcTop(), observe="metrics")
+        simulator.run(ms(2))
+        flat = simulator.telemetry.metrics.scalars()
+        seconds = {name: flat[f"tdf.module_seconds[module={name}]"]
+                   for name in ("top.src", "top.rc", "top.sink")}
+        assert all(value > 0 for value in seconds.values())
+        assert sum(seconds.values()) <= flat["moc.tdf.seconds"]
+        snap = simulator.metrics_snapshot()
+        assert set(snap) == set(plain.metrics_snapshot()) | set(flat)
 
     def test_export_telemetry_files(self, tmp_path):
         simulator = Simulator(ToneTop(), observe=True)
@@ -588,7 +606,7 @@ class TestOverhead:
         assert simulator.telemetry is None
         assert simulator.kernel._h_events_per_delta is None
         assert simulator.kernel._fine_tracer is None
-        cluster = simulator._tdf_registry.clusters[0]
+        cluster = simulator.tdf_registry.clusters[0]
         assert cluster.telemetry is None
         assert getattr(cluster, "_m_seconds", None) is None
 

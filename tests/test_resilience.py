@@ -195,12 +195,12 @@ class TestFallbackChain:
         solver.initialize(0.0, np.ones(3))
         for k in range(1, 4):
             x = solver.advance_to(k * H)
-        assert solver.metrics()["tiers"] == \
-            {"primary": 0, "halved": 0, "bdf": 3}
+        assert solver.tier_counts == {"primary": 0, "halved": 0, "bdf": 3}
         expected = np.exp(np.array([2.0, 4.0, 8.0]) * 3)
         np.testing.assert_allclose(x, expected, rtol=1e-4)
-        assert solver.metrics()["recovered_intervals"] == 3
-        assert [tier for _t, tier in solver.tier_log] == ["bdf"] * 3
+        stats = solver.stats()
+        assert stats["resilience.tier.bdf"] == 3
+        assert stats["resilience.tier.primary"] == 0
 
     def test_halved_tier_recovers_without_escalation(self):
         solver = ResilientTransientSolver(
@@ -209,8 +209,7 @@ class TestFallbackChain:
         solver.initialize(0.0, np.ones(2))
         solver.advance_to(H)
         solver.advance_to(2 * H)
-        assert solver.metrics()["tiers"] == \
-            {"primary": 0, "halved": 2, "bdf": 0}
+        assert solver.tier_counts == {"primary": 0, "halved": 2, "bdf": 0}
 
     def test_healthy_system_stays_on_primary(self):
         dae = LinearDae(np.eye(1), np.array([[1.0]]))  # x' = -x
@@ -218,11 +217,13 @@ class TestFallbackChain:
         solver.initialize(0.0, np.array([1.0]))
         for k in range(1, 6):
             x = solver.advance_to(k * 0.1)
-        assert solver.metrics()["tiers"] == \
-            {"primary": 5, "halved": 0, "bdf": 0}
+        assert solver.tier_counts == {"primary": 5, "halved": 0, "bdf": 0}
         assert x[0] == pytest.approx(np.exp(-0.5), rel=1e-2)
-        assert solver.metrics()["checked_steps"] >= 5
-        assert solver.metrics()["health_violations"] == 0
+        stats = solver.stats()
+        # the primary's counters come through the wrapper
+        assert stats["solver.steps"] == 5
+        assert stats["health.checked_steps"] >= 5
+        assert stats["health.violations"] == 0
 
     def test_exhaustion_raises_with_diagnostic_report(self):
         # 1x1 all-zero system: singular at every step size, and the
@@ -270,7 +271,7 @@ class TestFallbackChain:
         x = solver.advance_to(1.0)
         assert x[0] == pytest.approx(np.exp(-1.0), rel=1e-3)
         assert primary.h_max is None  # restored, not leaked
-        assert solver.metrics()["tiers"]["primary"] == 1
+        assert solver.tier_counts["primary"] == 1
 
     def test_state_dict_roundtrip(self):
         solver = ResilientTransientSolver(
@@ -407,9 +408,9 @@ class TestHealthMonitor:
     def test_resilient_module_exposes_metrics(self):
         top = RcTop(resilient=True)
         Simulator(top).run(SimTime(2, "ms"))
-        metrics = top.rc.solver_metrics()
-        assert metrics["tiers"]["primary"] > 0
-        assert metrics["health_violations"] == 0
+        stats = top.rc.stats()
+        assert stats["resilience.tier.primary"] > 0
+        assert stats["health.violations"] == 0
         # resilient wrapping does not change the trajectory
         reference = RcTop(resilient=False)
         Simulator(reference).run(SimTime(2, "ms"))

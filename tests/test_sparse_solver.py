@@ -170,7 +170,10 @@ class TestExpmStepper:
         assert stepper.factorizations == 2
         stepper.set_timestep(1e-6)  # cached phi for this h
         assert stepper.factorizations == 2
-        assert stepper.expm_cache_hits == 1
+        assert stepper.cache_hits == 1
+        assert stepper.stats() == {"solver.factorizations": 2,
+                                   "solver.refactorizations": 0,
+                                   "solver.expm_cache_hits": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +440,8 @@ class TestSparseInterop:
         top = LadderTop("sparse")
         top.line.resilient = True
         Simulator(top, tdf_block=True).run(us(500))
-        metrics = top.line.solver_metrics()
-        assert metrics["tiers"]["primary"] > 0
+        stats = top.line.stats()
+        assert stats["resilience.tier.primary"] > 0
         _, x = top.sink.as_arrays()
         assert np.all(np.isfinite(np.asarray(x, float)))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitSignal, Clock, Module, SimTime, Simulator
-from repro.ct import ScipyIvpSolver
+from repro.ct import ScipyIvpSolver, TransientSolver
 from repro.ct.nonlinear import NonlinearSystem, dlimexp, limexp
 from repro.eln import Capacitor, Network, Resistor, Switch, Vsource
 from repro.lsf import LsfLtfNd, LsfNetwork, LsfSource
@@ -380,7 +380,77 @@ class TestNonlinearTdf:
         assert hasattr(holder_module, "in_u")
 
 
+class EulerPlugin(TransientSolver):
+    """Minimal plug-in: one forward-Euler step of ``x' = (u - x) / tau``
+    per synchronization interval."""
+
+    def __init__(self, tau=1e-3):
+        self.tau = tau
+        self.holder = None
+        self._t, self._x = 0.0, np.zeros(1)
+        self.steps = 0
+
+    def initialize(self, t0=0.0, x0=None):
+        self._t = t0
+        self._x = np.zeros(1) if x0 is None else np.asarray(x0, float)
+        return self._x
+
+    def advance_to(self, t):
+        self._x = self._x + (t - self._t) * (self.holder(t) - self._x) \
+            / self.tau
+        self._t = t
+        self.steps += 1
+        return self._x
+
+    @property
+    def time(self):
+        return self._t
+
+    @property
+    def state(self):
+        return self._x
+
+
+class CountingEulerPlugin(EulerPlugin):
+    def stats(self):
+        return {"solver.steps": self.steps}
+
+
+def _plugin_snapshot(solver):
+    class Top(Module):
+        def __init__(self):
+            super().__init__("top")
+            self.s_in = TdfSignal("s_in")
+            self.s_out = TdfSignal("s_out")
+            self.src = StepSource("src", self, timestep=us(20))
+            self.ct = SolverTdfModule("ct", solver, parent=self)
+            solver.holder = self.ct.add_input("u")
+            self.ct.add_output("v", lambda x: float(x[0]))
+            self.rec = Recorder("rec", self)
+            self.src.out(self.s_in)
+            self.ct.in_u(self.s_in)
+            self.ct.out_v(self.s_out)
+            self.rec.inp(self.s_out)
+
+    sim = Simulator(Top())
+    sim.run(SimTime(1, "ms"))
+    return sim.metrics_snapshot()
+
+
 class TestSolverPlugin:
+    def test_plugin_without_stats_reports_nothing(self):
+        snap = _plugin_snapshot(EulerPlugin())
+        assert not any("[module=" in key for key in snap)
+        assert snap["solver.steps"] == 0.0
+        assert snap["tdf.periods"] == 51.0
+
+    def test_plugin_stats_reach_the_snapshot(self):
+        solver = CountingEulerPlugin()
+        snap = _plugin_snapshot(solver)
+        assert solver.steps == 50
+        assert snap["solver.steps[module=top.ct]"] == 50.0
+        assert snap["solver.steps"] == 50.0
+
     def test_scipy_solver_matches_builtin(self):
         R, C = 1e3, 1e-6
         tau = R * C

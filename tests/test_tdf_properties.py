@@ -98,7 +98,7 @@ def test_timestep_propagation_invariants(chain, src_rate):
         # elaboration; filter those examples.
         assume("divisible" not in str(exc))
         raise
-    registry = sim._tdf_registry
+    registry = sim.tdf_registry
     assert len(registry.clusters) == 1
     cluster = registry.clusters[0]
     period = cluster.period.ticks
@@ -146,7 +146,7 @@ def test_two_module_rate_ratio(prod_rate, cons_rate):
     g = gcd(prod_rate, cons_rate)
     src_reps = cons_rate // g
     sink_reps = prod_rate // g
-    cluster = sim._tdf_registry.clusters[0]
+    cluster = sim.tdf_registry.clusters[0]
     assert cluster.repetitions[id(top.src)] == src_reps
     assert cluster.repetitions[id(top.sink)] == sink_reps
     # Activation counts over N whole periods keep the exact ratio.
