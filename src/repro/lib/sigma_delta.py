@@ -9,6 +9,7 @@ highest abstraction level.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -16,6 +17,17 @@ import numpy as np
 from ..core.module import Module
 from ..tdf.module import TdfModule
 from ..tdf.signal import TdfIn, TdfOut
+
+
+def _checked_full_scale(full_scale) -> float:
+    """``full_scale`` as a float: an int would turn every output bit
+    into an int (demoting the stream to object mode), and a
+    non-positive value silently breaks the feedback loop."""
+    value = float(full_scale)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"full_scale must be positive and finite, got {full_scale!r}")
+    return value
 
 
 class SigmaDelta1(TdfModule):
@@ -30,7 +42,7 @@ class SigmaDelta1(TdfModule):
         super().__init__(name, parent)
         self.inp = TdfIn("inp")
         self.out = TdfOut("out")
-        self.full_scale = full_scale
+        self.full_scale = _checked_full_scale(full_scale)
         self._integrator = 0.0
         self._feedback = 0.0
 
@@ -63,7 +75,7 @@ class SigmaDelta2(TdfModule):
         super().__init__(name, parent)
         self.inp = TdfIn("inp")
         self.out = TdfOut("out")
-        self.full_scale = full_scale
+        self.full_scale = _checked_full_scale(full_scale)
         self._i1 = 0.0
         self._i2 = 0.0
         self._feedback = 0.0

@@ -100,6 +100,26 @@ class TestSigmaDeltaModules:
         with pytest.raises(ValueError):
             CicDecimator("c", factor=8, order=0)
 
+    @pytest.mark.parametrize("cls", [SigmaDelta1, SigmaDelta2])
+    @pytest.mark.parametrize("full_scale",
+                             [0, 0.0, -1.0, float("inf"), float("nan")])
+    def test_full_scale_validation(self, cls, full_scale):
+        with pytest.raises(ValueError):
+            cls("sd", full_scale=full_scale)
+
+    @pytest.mark.parametrize("cls", [SigmaDelta1, SigmaDelta2])
+    def test_int_full_scale_keeps_a_float_stream(self, cls):
+        """An int full_scale must not demote the bit stream to object
+        mode, which would keep every reader off the block path."""
+        src = SampleListSource("src", [0.3, -0.2, 0.1], timestep=us(1))
+        sd = cls("sd", full_scale=1)
+        sink = TdfSink("sink")
+        run_chain([src, sd, sink],
+                  [(src.out, sd.inp, "a"), (sd.out, sink.inp, "b")], 63)
+        assert sd.out.signal.is_vector
+        assert {type(v) for v in sink.samples} == {float}
+        assert set(sink.samples) <= {1.0, -1.0}
+
 
 class TestDacModules:
     def test_switched_cap_settling_dynamics(self):
