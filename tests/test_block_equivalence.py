@@ -19,6 +19,7 @@ from repro.ct import LinearTransientSolver
 from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 from repro.lib import (
     Add2,
+    CicDecimator,
     FirFilter,
     GaussianNoiseSource,
     IdealAdc,
@@ -27,6 +28,7 @@ from repro.lib import (
     PipelinedAdcModule,
     SampleHold,
     SaturatingAmp,
+    SigmaDelta2,
     SineSource,
     TdfSink,
     butterworth_lowpass_sections,
@@ -504,6 +506,93 @@ def test_oversampled_ct_cross_mode_resume(kind, head_block):
     # the step count is checkpointed; factorization caches are not
     assert tail_sim.metrics_snapshot()["solver.steps"] \
         == ref_sim.metrics_snapshot()["solver.steps"]
+
+
+# -- Σ∆ converter chains (E12) ------------------------------------------------
+
+
+class SigmaDeltaTop(Module):
+    """E12's L1 chain: sine -> Σ∆2 -> CIC (factor 32, order 3) -> sink.
+
+    ``frontend`` gives the L2 chain: the 2x-oversampled ELN RC
+    anti-alias network ahead of the modulator, so the CT window path and
+    the Σ∆ block path share one cluster.
+    """
+
+    def __init__(self, frontend):
+        super().__init__("sd_top")
+        self.s_in = TdfSignal("s_in")
+        self.s_bits = TdfSignal("s_bits")
+        self.s_dec = TdfSignal("s_dec")
+        self.src = SineSource("src", 1.5e3, amplitude=0.5, parent=self,
+                              timestep=us(1))
+        self.sd = SigmaDelta2("sd", parent=self)
+        self.cic = CicDecimator("cic", factor=32, order=3, parent=self)
+        self.sink = TdfSink("sink", parent=self)
+        self.src.out(self.s_in)
+        if frontend:
+            net = Network("aa")
+            net.add(Vsource("Vin", "in", "0"))
+            net.add(Resistor("R1", "in", "out", 3.2e3))
+            net.add(Capacitor("C1", "out", "0", 1e-9))
+            self.s_aa = TdfSignal("s_aa")
+            self.frontend = ElnTdfModule("aa", net, parent=self,
+                                         oversample=2)
+            self.frontend.drive_voltage("Vin")(self.s_in)
+            self.frontend.sample_voltage("out")(self.s_aa)
+            self.sd.inp(self.s_aa)
+        else:
+            self.sd.inp(self.s_in)
+        self.sd.out(self.s_bits)
+        self.cic.inp(self.s_bits)
+        self.cic.out(self.s_dec)
+        self.sink.inp(self.s_dec)
+
+
+#: 4,096 modulator samples: 128 periods of 32 activations each.
+SD_DURATION = us(4095)
+
+
+def assert_converter_state_equal(ref: SigmaDeltaTop, got: SigmaDeltaTop):
+    """The Σ∆ and CIC checkpoint payloads match exactly (``repr``
+    tells -0.0 from 0.0)."""
+    for name in ("sd", "cic"):
+        assert repr(_normalize(getattr(ref, name).checkpoint_state())) \
+            == repr(_normalize(getattr(got, name).checkpoint_state()))
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["l1", "l2"])
+def sd_chain(request):
+    """``(frontend, scalar reference run)`` of one chain."""
+    top = run_sim(lambda: SigmaDeltaTop(request.param), SD_DURATION,
+                  block=False)
+    assert len(top.sink.samples) == 128
+    return request.param, top
+
+
+@pytest.mark.parametrize("batch,compact", BLOCK_CONFIGS)
+def test_sigma_delta_chain_bit_identical(sd_chain, batch, compact):
+    frontend, reference = sd_chain
+    got = run_sim(lambda: SigmaDeltaTop(frontend), SD_DURATION,
+                  block=True, batch=batch, compact=compact)
+    assert_bytes_equal(reference.sink, got.sink)
+    assert_converter_state_equal(reference, got)
+
+
+@pytest.mark.parametrize("head_block", [False, True],
+                         ids=["scalar-then-block", "block-then-scalar"])
+def test_sigma_delta_chain_cross_mode_resume(sd_chain, head_block):
+    frontend, reference = sd_chain
+    head_top = SigmaDeltaTop(frontend)
+    head_sim = Simulator(head_top, tdf_block=head_block)
+    head_sim.run(us(2048), checkpoint_every=us(2048))
+    checkpoint = head_sim.checkpoint_manager.latest()
+    tail_top = SigmaDeltaTop(frontend)
+    tail_sim = Simulator(tail_top, tdf_block=not head_block)
+    tail_sim.restore_checkpoint(checkpoint.payload)
+    tail_sim.run(us(2047))
+    assert_bytes_equal(reference.sink, tail_top.sink)
+    assert_converter_state_equal(reference, tail_top)
 
 
 def test_oversampled_block_run_takes_the_window_path(monkeypatch):

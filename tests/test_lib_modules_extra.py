@@ -1,6 +1,8 @@
 """Extra coverage for TDF library modules: ΣΔ modules in clusters, CIC
 module, DAC settling, flash offsets, ADC/DAC round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,16 +20,18 @@ from repro.lib import (
     SineSource,
     SwitchedCapDac,
     TdfSink,
+    cic_decimate,
     quantize_code,
+    sigma_delta2_bitstream,
 )
-from repro.tdf import TdfSignal
+from repro.tdf import TdfModule, TdfOut, TdfSignal
 
 
 def us(x):
     return SimTime(x, "us")
 
 
-def run_chain(modules, wires, duration_us):
+def run_chain(modules, wires, duration_us, **options):
     class Top(Module):
         def __init__(self):
             super().__init__("top")
@@ -44,25 +48,66 @@ def run_chain(modules, wires, duration_us):
                 dst_port(sig)
 
     top = Top()
-    Simulator(top).run(us(duration_us))
+    Simulator(top, **options).run(us(duration_us))
     return top
+
+
+class IntListSource(TdfModule):
+    """Plays back Python ints, so its stream runs in object mode."""
+
+    def __init__(self, name, values):
+        super().__init__(name)
+        self.out = TdfOut("out")
+        self.values = [int(v) for v in values]
+        self._index = 0
+
+    def set_attributes(self):
+        self.set_timestep(us(1))
+
+    def processing(self):
+        self.out.write(self.values[self._index % len(self.values)])
+        self._index += 1
+
+
+def converter_against_l0(block, order, payload):
+    """Run Σ∆2 + CIC in a cluster and compare the bit stream and the
+    decimated output with the L0 NumPy models, byte for byte."""
+    case = f"block={block} order={order} payload={payload}"
+    n, factor = 2048, 8
+    rng = np.random.default_rng(0)
+    if payload == "int":
+        full_scale = 4.0
+        data = rng.integers(-2, 3, n)
+        src = IntListSource("src", data)
+    else:
+        full_scale = 1.0
+        data = rng.uniform(-0.6, 0.6, n)
+        src = SampleListSource("src", data, timestep=us(1))
+    sd = SigmaDelta2("sd", full_scale=full_scale)
+    cic = CicDecimator("cic", factor=factor, order=order)
+    bits = TdfSink("bits")
+    sink = TdfSink("sink")
+    run_chain([src, sd, cic, bits, sink],
+              [(src.out, sd.inp, "a"), (sd.out, bits.inp, "b"),
+               (sd.out, cic.inp, "b"), (cic.out, sink.inp, "c")],
+              n - 1, tdf_block=block)
+    assert sd.inp.block_readable() is (payload == "float"), case
+    expected_bits = sigma_delta2_bitstream(data, full_scale)
+    expected = cic_decimate(expected_bits, factor, order)
+    assert len(bits.samples) == n, case
+    assert np.asarray(bits.samples).tobytes() \
+        == expected_bits.tobytes(), case
+    assert np.asarray(sink.samples).tobytes() == expected.tobytes(), case
 
 
 class TestSigmaDeltaModules:
     def test_sd2_module_in_cluster_matches_array_model(self):
-        from repro.lib import sigma_delta2_bitstream
-
-        n = 2000
-        rng = np.random.default_rng(0)
-        data = rng.uniform(-0.6, 0.6, n)
-        src = SampleListSource("src", data, timestep=us(1))
-        sd = SigmaDelta2("sd")
-        sink = TdfSink("sink")
-        run_chain([src, sd, sink],
-                  [(src.out, sd.inp, "a"), (sd.out, sink.inp, "b")],
-                  n - 1)
-        expected = sigma_delta2_bitstream(data)
-        np.testing.assert_array_equal(sink.samples, expected[:n])
+        """The whole converter equals the L0 models in block and scalar
+        mode, for CIC orders 1-3.  Int payloads keep the modulator's
+        input stream in object mode (the scalar fallback)."""
+        for block, order, payload in itertools.product(
+                (True, False), (1, 2, 3), ("float", "int")):
+            converter_against_l0(block, order, payload)
 
     def test_sd1_module_dc_tracking(self):
         src = SampleListSource("src", [0.25], timestep=us(1))
