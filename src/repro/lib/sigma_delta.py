@@ -30,6 +30,49 @@ def _checked_full_scale(full_scale) -> float:
     return value
 
 
+# -- block kernels: each converter's one vector path, shared by its module's
+# processing_block() and its L0 model.  Each repeats the scalar
+# processing() arithmetic operation for operation, so it is
+# bit-identical to it.
+
+
+def _sd2_kernel(samples: list, i1: float, i2: float, feedback: float,
+                full_scale: float):
+    """Run the :class:`SigmaDelta2` loop over ``samples`` (a list of
+    Python floats: the loop is sequential, and float arithmetic is
+    cheaper than NumPy scalars).  Returns the bits and the final
+    ``i1``, ``i2`` and feedback."""
+    bits = [full_scale] * len(samples)
+    for k, value in enumerate(samples):
+        i1 += 0.5 * (value - feedback)
+        i2 += 0.5 * (i1 - feedback)
+        feedback = full_scale if i2 >= 0.0 else -full_scale
+        bits[k] = feedback
+    return bits, i1, i2, feedback
+
+
+def _cic_kernel(samples: np.ndarray, factor: int, integrators: np.ndarray,
+                combs: np.ndarray, gain: float) -> np.ndarray:
+    """Run the :class:`CicDecimator` cascade over ``samples``: one output
+    per ``factor`` inputs.  ``integrators`` and ``combs`` carry the stage
+    values and are updated in place."""
+    x = samples
+    for i in range(len(integrators)):
+        # accumulate is a sequential running sum, so starting it from
+        # the carried value replays the scalar += chain exactly
+        # (np.cumsum(x) + carried would round differently).
+        x = np.add.accumulate(np.concatenate(([integrators[i]], x)))
+        integrators[i] = x[-1]
+        x = x[1:]
+    x = x[factor - 1::factor]
+    for i in range(len(combs)):
+        # np.diff with the carried value prepended: value - delayed
+        x = np.concatenate(([combs[i]], x))
+        combs[i] = x[-1]
+        x = np.diff(x)
+    return x / gain
+
+
 class SigmaDelta1(TdfModule):
     """First-order single-bit ΣΔ modulator.
 
@@ -88,6 +131,16 @@ class SigmaDelta2(TdfModule):
         self._feedback = bit
         self.out.write(bit)
 
+    def processing_block(self, n):
+        if not self.inp.block_readable():
+            # Object-mode input: a block read would coerce its payloads.
+            self._scalar_fallback(n)
+            return
+        bits, self._i1, self._i2, self._feedback = _sd2_kernel(
+            self.inp.read_block(n).tolist(), self._i1, self._i2,
+            self._feedback, self.full_scale)
+        self.out.write_block(bits)
+
     def checkpoint_state(self):
         return {"i1": self._i1, "i2": self._i2,
                 "feedback": self._feedback}
@@ -137,6 +190,15 @@ class CicDecimator(TdfModule):
             value = value - delayed
         self.out.write(value / self._gain)
 
+    def processing_block(self, n):
+        if not self.inp.block_readable():
+            # Object-mode input: a block read would coerce its payloads.
+            self._scalar_fallback(n)
+            return
+        self.out.write_block(_cic_kernel(
+            self.inp.read_block(n), self.factor, self._integrators,
+            self._combs, self._gain))
+
     def checkpoint_state(self):
         return {"integrators": self._integrators.tolist(),
                 "combs": self._combs.tolist()}
@@ -169,23 +231,13 @@ def sigma_delta2_bitstream(samples: np.ndarray,
                            full_scale: float = 1.0) -> np.ndarray:
     """NumPy behavioural model of :class:`SigmaDelta2`."""
     x = np.asarray(samples, dtype=float)
-    bits = np.empty_like(x)
-    i1 = i2 = feedback = 0.0
-    for k, value in enumerate(x):
-        i1 += 0.5 * (value - feedback)
-        i2 += 0.5 * (i1 - feedback)
-        feedback = full_scale if i2 >= 0.0 else -full_scale
-        bits[k] = feedback
-    return bits
+    bits = _sd2_kernel(x.tolist(), 0.0, 0.0, 0.0, float(full_scale))[0]
+    return np.array(bits, dtype=float)
 
 
 def cic_decimate(bits: np.ndarray, factor: int,
                  order: int = 2) -> np.ndarray:
     """NumPy behavioural model of :class:`CicDecimator`."""
-    x = np.asarray(bits, dtype=float)
-    for _ in range(order):
-        x = np.cumsum(x)
-    x = x[factor - 1::factor]
-    for _ in range(order):
-        x = np.diff(x, prepend=0.0)
-    return x / float(factor) ** order
+    return _cic_kernel(np.asarray(bits, dtype=float), factor,
+                       np.zeros(order), np.zeros(order),
+                       float(factor) ** order)
