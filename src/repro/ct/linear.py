@@ -29,6 +29,7 @@ step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import OrderedDict
 from typing import Callable, Optional, Sequence
@@ -55,6 +56,14 @@ SPARSE_AUTO_THRESHOLD = 150
 #: Synchronization intervals vary at ULP level, producing a handful of
 #: distinct ``h`` values per run; 8 slots cover them with room to spare.
 FACTOR_CACHE_SIZE = 8
+
+
+def check_step_size(h: float, name: str = "timestep") -> float:
+    """Return ``h`` if it is a step size a fixed-step solver can honour
+    (positive and finite), else raise :class:`SolverError`."""
+    if not 0.0 < h < math.inf:  # NaN fails both comparisons
+        raise SolverError(f"{name} must be positive and finite, got {h}")
+    return h
 
 
 class LinearDae:
@@ -279,9 +288,7 @@ class _FactorCacheMixin:
 
     def set_timestep(self, h: float) -> None:
         if h != self.h:
-            if h <= 0:
-                raise SolverError(f"timestep must be positive, got {h}")
-            self.h = h
+            self.h = check_step_size(h)
             self._fac = self._factors(h)
 
     def invalidate(self) -> None:
@@ -336,8 +343,7 @@ class LinearStepper(_FactorCacheMixin):
                 f"unknown integration method {method!r}; "
                 f"expected one of {sorted(METHOD_ORDERS)}"
             )
-        if h <= 0:
-            raise SolverError(f"timestep must be positive, got {h}")
+        check_step_size(h)
         if variant not in ("auto", "dense", "sparse"):
             raise SolverError(
                 f"unknown LinearStepper variant {variant!r}; "
@@ -533,8 +539,7 @@ class ExpmStepper(_FactorCacheMixin):
     variant = "expm"
 
     def __init__(self, system: LinearDae, h: float):
-        if h <= 0:
-            raise SolverError(f"timestep must be positive, got {h}")
+        check_step_size(h)
         self.system = system
         self.h = h
         self._derive()

@@ -16,6 +16,7 @@ the synchronization layer drives *any* implementation purely through
 from __future__ import annotations
 
 import abc
+import math
 import warnings
 from typing import Callable, Optional
 
@@ -24,7 +25,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 
 from ..core.errors import SolverError
-from .linear import LinearDae, LinearStepper, make_stepper
+from .linear import (
+    LinearDae,
+    LinearStepper,
+    check_step_size,
+    make_stepper,
+)
 from .nonlinear import (
     NonlinearStepper,
     NonlinearSystem,
@@ -122,6 +128,8 @@ class LinearTransientSolver(TransientSolver):
                  h_internal: Optional[float] = None,
                  method: str = "trapezoidal",
                  variant: str = "auto"):
+        if h_internal is not None:
+            check_step_size(h_internal, "h_internal")
         self.system = system
         self.method = method
         self.variant = variant
@@ -160,6 +168,8 @@ class LinearTransientSolver(TransientSolver):
         return self._x
 
     def advance_to(self, t: float) -> np.ndarray:
+        if not math.isfinite(t):
+            raise SolverError(f"cannot advance to a non-finite time {t}")
         interval = t - self._t
         if interval < 0:
             raise SolverError("cannot advance a transient solver backwards")

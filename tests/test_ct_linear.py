@@ -12,6 +12,7 @@ from repro.ct import (
     LinearTransientSolver,
     state_space_to_dae,
 )
+from repro.ct.linear import ExpmStepper
 from repro.ct.solver_api import substep_counts
 
 
@@ -155,6 +156,20 @@ class TestStepper:
         with pytest.raises(SolverError):
             stepper.set_timestep(-1.0)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_non_finite_timestep_rejected(self, h):
+        """An infinite step would solve the DC point: a 1 V source into
+        an RC must not jump from rest to its final value in one step."""
+        dae, _ = rc_dae()
+        with pytest.raises(SolverError, match="positive and finite"):
+            LinearStepper(dae, h)
+        with pytest.raises(SolverError, match="positive and finite"):
+            ExpmStepper(dae, h)
+        for stepper in (LinearStepper(dae, 1e-6), ExpmStepper(dae, 1e-6)):
+            with pytest.raises(SolverError, match="positive and finite"):
+                stepper.set_timestep(h)
+            assert stepper.h == 1e-6
+
     def test_set_timestep_refactorizes(self):
         dae, tau = rc_dae()
         stepper = LinearStepper(dae, tau / 10)
@@ -188,6 +203,23 @@ class TestLinearTransientSolver:
         solver.advance_to(tau)
         with pytest.raises(SolverError):
             solver.advance_to(tau / 2)
+
+    @pytest.mark.parametrize("h_internal", [0.0, -1e-6, np.inf, np.nan])
+    def test_unusable_internal_step_rejected(self, h_internal):
+        dae, _ = rc_dae()
+        with pytest.raises(SolverError, match="h_internal"):
+            LinearTransientSolver(dae, h_internal=h_internal)
+
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_non_finite_target_rejected(self, target):
+        dae, tau = rc_dae()
+        solver = LinearTransientSolver(dae, h_internal=tau / 10)
+        solver.initialize(x0=np.zeros(1))
+        with pytest.raises(SolverError, match="non-finite time"):
+            solver.advance_to(target)
+        assert solver.time == 0.0
+        solver.advance_to(tau)
+        assert solver.step_count == 10
 
     def test_zero_interval_is_noop(self):
         dae, tau = rc_dae()
