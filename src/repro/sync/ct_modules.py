@@ -442,6 +442,19 @@ class CtTdfModule(TdfModule):
         self._last_delta = data["last_delta"]
 
 
+def _checked_oversample(name: str, oversample) -> int:
+    """The internal steps per activation of a linear CT module: a whole
+    number of at least one (a fraction would round up silently)."""
+    if isinstance(oversample, bool) \
+            or not isinstance(oversample, (int, np.integer)) \
+            or oversample < 1:
+        raise ElaborationError(
+            f"{name!r}: oversample must be an integer >= 1, "
+            f"got {oversample!r}"
+        )
+    return int(oversample)
+
+
 class ElnTdfModule(CtTdfModule):
     """An electrical linear network embedded in the TDF world.
 
@@ -480,11 +493,7 @@ class ElnTdfModule(CtTdfModule):
         self.network = network
         self.method = method
         self.solver_variant = solver_variant
-        if oversample < 1:
-            raise ElaborationError(
-                f"{name!r}: oversample must be >= 1"
-            )
-        self.oversample = oversample
+        self.oversample = _checked_oversample(name, oversample)
         self._driven: dict[str, InputHolder] = {}
         self._switch_bindings: list[tuple[Switch, InPort]] = []
         self._switch_states: list[bool] = []
@@ -738,7 +747,7 @@ class LsfTdfModule(CtTdfModule):
         self.network = network
         self.method = method
         self.solver_variant = solver_variant
-        self.oversample = max(1, oversample)
+        self.oversample = _checked_oversample(name, oversample)
         self._lsf_inputs: list[tuple[LsfSignal, InputHolder]] = []
         self._lsf_index = None
 

@@ -255,6 +255,35 @@ class TestOversampledStepCount:
             == 2 * (activations - 1)
 
 
+class TestOversampleRule:
+    """ELN and LSF modules accept the same ``oversample`` values: a
+    whole number of at least one."""
+
+    @staticmethod
+    def _lsf():
+        lsf = LsfNetwork()
+        u, y = lsf.signal("u"), lsf.signal("y")
+        lsf.add(LsfSource("src", u))
+        lsf.add(LsfLtfNd("filt", u, y, num=[1.0], den=[1.0, 1e-3]))
+        return lsf
+
+    @pytest.mark.parametrize("oversample", [0, -2, 2.5, 1.0, "2", True])
+    def test_rejected_by_eln_and_lsf(self, oversample):
+        from repro.core import ElaborationError
+
+        with pytest.raises(ElaborationError, match="oversample"):
+            ElnTdfModule("rc", rc_network(), oversample=oversample)
+        with pytest.raises(ElaborationError, match="oversample"):
+            LsfTdfModule("filt", self._lsf(), oversample=oversample)
+
+    @pytest.mark.parametrize("oversample", [1, 3, np.int64(2)])
+    def test_whole_numbers_accepted(self, oversample):
+        eln = ElnTdfModule("rc", rc_network(), oversample=oversample)
+        lsf = LsfTdfModule("filt", self._lsf(), oversample=oversample)
+        assert eln.oversample == lsf.oversample == int(oversample)
+        assert type(eln.oversample) is type(lsf.oversample) is int
+
+
 class LsfLowpassTop(Module):
     """Unit step through a first-order LSF low-pass (time constant
     ``tau``); ``lsf_kwargs`` go to the :class:`LsfTdfModule`."""
