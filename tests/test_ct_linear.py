@@ -12,8 +12,9 @@ from repro.ct import (
     LinearTransientSolver,
     state_space_to_dae,
 )
-from repro.ct.linear import ExpmStepper
+from repro.ct.linear import ExpmStepper, make_stepper
 from repro.ct.solver_api import substep_counts
+from repro.eln import Capacitor, Isource, Network, Resistor
 
 
 def rc_dae(R=1e3, C=1e-6, v_in=1.0):
@@ -183,6 +184,71 @@ class TestStepper:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SolverError):
             LinearDae(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def ode_ladder(nodes=5):
+    """An RC ladder with a capacitor on every node, driven by a current
+    source: an assembled network (sources laid out in ``source.rows``)
+    whose ``C`` is invertible, so every stepper variant accepts it."""
+    net = Network()
+    net.add(Isource("Iin", "n1", "0",
+                    current=lambda t: 1e-3 * np.sin(2e4 * np.pi * t)))
+    net.add(Capacitor("C0", "n1", "0", 1e-9))
+    net.add(Resistor("R0", "n1", "0", 1e3))
+    for k in range(1, nodes):
+        net.add(Resistor(f"R{k}", f"n{k}", f"n{k + 1}", 1e3))
+        net.add(Capacitor(f"C{k}", f"n{k + 1}", "0", 1e-9))
+    return net.assemble()[0]
+
+
+def plain_ode(nodes=5):
+    """The same ladder with a bare callable source (no row layout)."""
+    ladder = ode_ladder(nodes)
+    C, G = ladder.dense_matrices()
+
+    def source(t):
+        return np.linspace(1.0, 2.0, ladder.n) * np.cos(3e4 * t)
+
+    return LinearDae(C, G, source)
+
+
+class TestWindowPartition:
+    """A window's states depend on its steps, not on how they are cut
+    into ``step_window`` calls or replayed through ``step``."""
+
+    STEPS = 200
+
+    @pytest.mark.parametrize("system, method, variant", [
+        (ode_ladder, "trapezoidal", "dense"),
+        (ode_ladder, "backward_euler", "dense"),
+        (ode_ladder, "trapezoidal", "expm"),
+        (ode_ladder, "trapezoidal", "sparse"),
+        (plain_ode, "trapezoidal", "dense"),
+    ], ids=["dense-trap", "dense-be", "expm", "sparse-trap", "plain-dense"])
+    def test_every_cut_and_step_loop_match(self, system, method, variant):
+        dae = system()
+        h_values = np.where((np.arange(self.STEPS) // 37) % 2 == 0,
+                            1e-6, 1e-6 / 3)
+        times = np.concatenate(([0.0], np.cumsum(h_values)[:-1]))
+        b_next = dae.eval_source_block(times + h_values)
+        b_now = dae.eval_source_block(times)
+        x0 = np.linspace(-1.0, 1.0, dae.n)
+        stepper = make_stepper(dae, 1e-6, method, variant)
+        whole = stepper.step_window(x0, h_values, b_next, b_now, times)
+        for cut in range(1, self.STEPS):
+            head = stepper.step_window(x0, h_values[:cut], b_next[:cut],
+                                       b_now[:cut], times[:cut])
+            tail = stepper.step_window(head[-1], h_values[cut:],
+                                       b_next[cut:], b_now[cut:],
+                                       times[cut:])
+            assert np.concatenate((head, tail)).tobytes() \
+                == whole.tobytes(), f"cut at step {cut}"
+        x = x0
+        looped = np.empty_like(whole)
+        for k in range(self.STEPS):
+            stepper.set_timestep(h_values[k])
+            x = looped[k] = stepper.step(x, times[k])
+        assert looped.tobytes() == whole.tobytes()
 
 
 class TestLinearTransientSolver:
