@@ -10,20 +10,24 @@ where ``C`` may be singular (a genuine DAE, as produced by Modified Nodal
 Analysis of an electrical network) and ``b`` collects the independent
 sources.  Because the system is linear, each timestep is one solve with a
 constant matrix — "the resulting system of equations can be solved without
-iterations" — and the matrix is LU-factorized once per timestep value.
+iterations" — so the work that depends only on the timestep value is done
+once per value.
 
 Three interchangeable stepper variants share that contract:
 
-* ``dense`` — LAPACK ``lu_factor`` / ``getrs``, best below the sparsity
-  crossover;
-* ``sparse`` — SuperLU (``splu``) on ``scipy.sparse`` matrices, for the
-  large ELN networks where dense solves become quadratic waste;
+* ``dense`` — the one-step propagator ``phi = A^-1 M`` of the iteration
+  matrix ``A`` plus ``A^-1`` on the source columns, so a step is one
+  mat-vec and one add; best below the sparsity crossover;
+* ``sparse`` — SuperLU (``splu``) on ``scipy.sparse`` matrices, one solve
+  per step, for the large ELN networks where a dense ``phi`` becomes
+  quadratic waste;
 * ``expm`` — an exact matrix-exponential propagator for LTI sections with
-  invertible ``C`` (first-order-hold sources integrated in closed form).
+  invertible ``C`` (first-order-hold sources integrated in closed form),
+  stepped by the same loop as ``dense``.
 
-Factorizations are cached per timestep value (an LRU keyed on ``h``) and
-invalidated only by :meth:`~LinearStepper.invalidate` /
-:meth:`~LinearStepper.rebind` on topology or switch events — never per
+Propagators and factorizations are cached per timestep value (an LRU
+keyed on ``h``) and invalidated only by :meth:`~LinearStepper.invalidate`
+/ :meth:`~LinearStepper.rebind` on topology or switch events — never per
 step.
 """
 
@@ -36,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor
 from scipy.sparse.linalg import splu
 
 from ..core.errors import SolverError
@@ -53,8 +57,8 @@ STEPPER_VARIANTS = ("auto", "dense", "sparse", "expm")
 SPARSE_AUTO_THRESHOLD = 150
 
 #: Per-stepper LRU capacity of the ``h``-keyed factorization cache.
-#: Synchronization intervals vary at ULP level, producing a handful of
-#: distinct ``h`` values per run; 8 slots cover them with room to spare.
+#: Tick-exact synchronization intervals give one ``h`` per nominal
+#: timestep; 8 slots cover alternating or off-grid step sizes.
 FACTOR_CACHE_SIZE = 8
 
 
@@ -229,37 +233,104 @@ class LinearDae:
         return times, states
 
 
-class _Factors:
-    """Factorization products for one timestep value."""
+def source_columns(system: LinearDae) -> list[int]:
+    """The columns of ``b`` a system's source can make nonzero: the
+    stamped rows of an assembled ELN/LSF network (``source.rows``), or
+    every column for any other source."""
+    rows = getattr(system.source, "rows", None)
+    if rows is None:
+        return list(range(system.n))
+    return sorted({row for row, _waveform, _scale in rows})
 
-    __slots__ = ("solve", "M")
 
-    def __init__(self, solve, M):
-        self.solve = solve
-        self.M = M
+def _require_invertible(A: np.ndarray, singular: str,
+                        invalid: Optional[str] = None) -> None:
+    """Raise ``SolverError(singular)`` when LAPACK finds ``A`` singular,
+    and ``SolverError(invalid)`` when it cannot factorize ``A`` at all
+    (non-finite entries)."""
+    try:
+        with warnings.catch_warnings():
+            # lu_factor reports exact singularity through a
+            # LinAlgWarning and zero pivots instead of raising;
+            # promote it to a deterministic SolverError so fallback
+            # tiers see the failure at build time.
+            warnings.simplefilter("error")
+            lu, _piv = lu_factor(A)
+    except ValueError as exc:
+        raise SolverError(invalid or singular) from exc
+    except Warning as exc:
+        raise SolverError(singular) from exc
+    if not np.all(np.isfinite(lu)):
+        raise SolverError(singular)
 
 
-class _ExpmFactors:
-    """Exact propagators for one timestep value."""
+def _forcing(blocks, terms) -> np.ndarray:
+    """Per-step forcing terms ``w[k] = sum gain * blocks[i][k, col]``
+    over the ``(i, col, gain)`` terms, in order.
 
-    __slots__ = ("phi", "P_now", "P_next")
+    Elementwise products and sums only: each row is bit-identical
+    whatever the number of rows, where a matrix product could let BLAS
+    pick a different summation order per shape.
+    """
+    w = None
+    for index, col, gain in terms:
+        term = blocks[index][:, col, None] * gain
+        if w is None:
+            w = term
+        else:
+            w += term
+    return np.zeros(blocks[0].shape) if w is None else w
 
-    def __init__(self, phi, P_now, P_next):
+
+def _check_finite(states: np.ndarray, times) -> None:
+    """Raise the solver's error at the first step with a NaN/Inf."""
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if not len(bad):
+        return
+    t_bad = float(times[bad[0]]) if times is not None else float("nan")
+    error = SolverError(
+        f"non-finite right-hand side at t={t_bad:.6e} "
+        "(NaN/Inf source or state)"
+    )
+    error.time_point = t_bad
+    raise error
+
+
+class _Propagator:
+    """One-step propagators for one timestep value: a step is
+    ``x' = phi @ x + w`` with ``w`` formed from the ``(block, column,
+    gain)`` source terms (see :func:`_forcing`)."""
+
+    __slots__ = ("phi", "terms")
+
+    def __init__(self, phi, terms):
         self.phi = phi
-        self.P_now = P_now
-        self.P_next = P_next
+        self.terms = terms
 
 
-class _FactorCacheMixin:
-    """Shared ``h``-keyed LRU factorization cache with reuse counters,
-    and the fixed-step :meth:`step_block`.
+class _SuperLU:
+    """Sparse factors for one timestep value: a step solves
+    ``A x' = M @ x + w``."""
 
-    Subclasses provide ``_build(h)`` and ``step_window``.
-    ``factorizations`` counts every factorization performed,
-    ``cache_hits`` every reuse of a cached one, and
-    ``refactorizations`` the factorizations forced by
-    :meth:`invalidate` (topology/switch events) rather than by a new
-    timestep value.
+    __slots__ = ("M", "solve")
+
+    def __init__(self, M, solve):
+        self.M = M
+        self.solve = solve
+
+
+class _CachedStepper:
+    """Shared ``h``-keyed LRU cache of stepping products with reuse
+    counters, and the stepping loops of every variant.
+
+    Subclasses provide ``_build(h)`` (a :class:`_Propagator` or a
+    :class:`_SuperLU`) and ``_source_blocks(b_next, b_now)``, the
+    source arrays a step's forcing term is formed from (the blocks a
+    propagator's source terms index).
+    ``factorizations`` counts every build performed, ``cache_hits``
+    every reuse of a cached one, and ``refactorizations`` the builds
+    forced by :meth:`invalidate` (topology/switch events) rather than
+    by a new timestep value.
     """
 
     def _init_cache(self) -> None:
@@ -304,6 +375,14 @@ class _FactorCacheMixin:
         return {"solver.factorizations": self.factorizations,
                 "solver.refactorizations": self.refactorizations}
 
+    def step(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Advance from time ``t`` to ``t + h``: a window of one step."""
+        source = self.system.source
+        b_next = np.asarray(source(t + self.h), dtype=float)[None]
+        b_now = None if self.method == "backward_euler" \
+            else np.asarray(source(t), dtype=float)[None]
+        return self._advance(x, b_next, b_now, (t,))[0]
+
     def step_block(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Advance through ``len(times)`` consecutive steps of the
         current ``h`` (``times[k]`` is the start of step ``k``).
@@ -321,19 +400,78 @@ class _FactorCacheMixin:
         return self.step_window(x, np.full(len(times), h), b_next,
                                 b_now, times)
 
+    def step_window(self, x: np.ndarray, h_values: np.ndarray,
+                    b_next: np.ndarray,
+                    b_now: Optional[np.ndarray] = None,
+                    times: Optional[np.ndarray] = None) -> np.ndarray:
+        """Advance through a window of pre-evaluated source vectors.
 
-class LinearStepper(_FactorCacheMixin):
+        ``h_values[k]`` is the step size of step ``k``; ``b_next[k]`` /
+        ``b_now[k]`` are the source vectors at the step's end / start
+        (``b_now`` is unused for backward Euler) and ``times[k]`` is
+        the instant a non-finite state is reported at.  Each run of
+        equal step sizes takes one :meth:`_advance` with that size's
+        cached products, and a step's arithmetic does not depend on
+        the run around it: any split of a window, and a loop of
+        :meth:`step` calls, give the same bits.  Returns the states
+        after each step, shape ``(len(h_values), n)``.
+        """
+        h_values = np.asarray(h_values, dtype=float)
+        if not len(h_values):
+            return np.empty((0, self.system.n))
+        cuts = (np.flatnonzero(h_values[1:] != h_values[:-1]) + 1).tolist()
+        parts = []
+        for a, b in zip([0] + cuts, cuts + [len(h_values)]):
+            self.set_timestep(float(h_values[a]))
+            parts.append(self._advance(
+                x, b_next[a:b], None if b_now is None else b_now[a:b],
+                None if times is None else times[a:b]))
+            x = parts[-1][-1]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _advance(self, x, b_next, b_now, times) -> np.ndarray:
+        """Run ``len(b_next)`` steps of the current ``h`` from ``x``.
+
+        Propagators (dense, expm): ``x = phi @ x + w[k]``, one mat-vec
+        and one add per step, the forcing terms ``w`` formed for the
+        whole run up front.  SuperLU (sparse): one solve per step.
+        """
+        fac = self._fac
+        x = np.ascontiguousarray(x, dtype=float)
+        blocks = self._source_blocks(b_next, b_now)
+        if isinstance(fac, _SuperLU):
+            w = blocks[0]
+            M, solve = fac.M, fac.solve
+            states = np.empty_like(w)
+            for k in range(len(w)):
+                rhs = M @ x
+                rhs += w[k]
+                x = states[k] = solve(rhs)
+        else:
+            states = _forcing(blocks, fac.terms)
+            phi = fac.phi
+            for row in states:  # overwrite each forcing row in place
+                row += np.dot(phi, x)
+                x = row
+        # one reduction; a non-finite sum may also be an overflow
+        if not math.isfinite(np.add.reduce(states, axis=None)):
+            _check_finite(states, times)
+        return states
+
+
+class LinearStepper(_CachedStepper):
     """Reusable one-step integrator for a :class:`LinearDae`.
 
-    Factorizes the iteration matrix once per timestep value and caches
-    the factors (LRU over recent ``h`` values), so alternating or
-    ULP-jittered synchronization intervals reuse factorizations instead
-    of recomputing them.  This is the object the synchronization layer
-    drives timestep by timestep in lockstep with a TDF cluster.
+    Builds the one-step products once per timestep value and caches
+    them (LRU over recent ``h`` values), so alternating timesteps reuse
+    them instead of rebuilding.  This is the object the synchronization
+    layer drives timestep by timestep in lockstep with a TDF cluster.
 
-    ``variant`` selects the backend: ``"dense"`` (LAPACK), ``"sparse"``
-    (SuperLU) or ``"auto"`` (sparse for sparse systems and above
-    :data:`SPARSE_AUTO_THRESHOLD` unknowns).
+    ``variant`` selects the backend: ``"dense"`` keeps the propagators
+    ``phi = A^-1 M`` and ``A^-1`` (restricted to the source columns) of
+    the iteration matrix ``A``, ``"sparse"`` its SuperLU factors, and
+    ``"auto"`` picks sparse for sparse systems and above
+    :data:`SPARSE_AUTO_THRESHOLD` unknowns.
     """
 
     def __init__(self, system: LinearDae, h: float,
@@ -363,6 +501,7 @@ class LinearStepper(_FactorCacheMixin):
 
     def _bind_matrices(self) -> None:
         system = self.system
+        self._cols = source_columns(system)
         if self.variant == "sparse":
             if system.is_sparse:
                 self._C, self._G = system.C, system.G
@@ -382,135 +521,45 @@ class LinearStepper(_FactorCacheMixin):
         self._bind_matrices()
         self.invalidate()
 
-    def _build(self, h: float) -> _Factors:
+    def _build(self, h: float):
+        # A x' = M x + w, w = b(t+h) (+ b(t) for trapezoidal)
         C, G = self._C, self._G
         if self.method == "backward_euler":
-            A = C / h + G
-            M = None
+            M = C / h
+            A = M + G
         else:  # trapezoidal
             scaled = 2.0 * C / h
             A = scaled + G
             M = scaled - G
+        singular = f"iteration matrix is singular for h={h:.3e}"
         if self.variant == "sparse":
             try:
                 factor = splu(sp.csc_matrix(A))
             except RuntimeError as exc:
-                raise SolverError(
-                    f"iteration matrix is singular for h={h:.3e}"
-                ) from exc
-            return _Factors(factor.solve, M)
-        try:
-            with warnings.catch_warnings():
-                # lu_factor reports exact singularity through a
-                # LinAlgWarning and zero pivots instead of raising;
-                # promote it to a deterministic SolverError so fallback
-                # tiers see the failure at factorization time.
-                warnings.simplefilter("error")
-                lu, piv = lu_factor(A)
-        except ValueError as exc:
-            raise SolverError("cannot factorize iteration matrix") from exc
-        except Warning as exc:
-            raise SolverError(
-                f"iteration matrix is singular for h={h:.3e}"
-            ) from exc
-        if not np.all(np.isfinite(lu)):
-            raise SolverError(
-                f"iteration matrix is singular for h={h:.3e}"
-            )
-        getrs, = get_lapack_funcs(("getrs",), (lu,))
+                raise SolverError(singular) from exc
+            return _SuperLU(M, factor.solve)
+        _require_invertible(A, singular, "cannot factorize iteration matrix")
+        # numpy's solve, not scipy's lu_solve: a matrix right-hand side
+        # through scipy's getrs costs milliseconds and leaves its BLAS
+        # threads spinning.
+        n = self.system.n
+        cols = self._cols
+        solved = np.linalg.solve(A, np.hstack((M, np.eye(n)[:, cols])))
+        if not np.all(np.isfinite(solved)):
+            raise SolverError(singular)
+        gains = solved[:, n:].T
+        return _Propagator(
+            np.ascontiguousarray(solved[:, :n]),
+            tuple((0, col, np.ascontiguousarray(gain))
+                  for col, gain in zip(cols, gains)))
 
-        def solve(rhs, lu=lu, piv=piv, getrs=getrs):
-            # Same LAPACK routine lu_solve dispatches to, minus the
-            # wrapper overhead; bit-identical results.
-            x, _info = getrs(lu, piv, rhs)
-            return x
-
-        return _Factors(solve, M)
-
-    def step(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Advance from time ``t`` to ``t + h``."""
-        h = self.h
-        fac = self._fac
-        b_next = np.asarray(self.system.source(t + h), dtype=float)
-        if fac.M is None:  # backward_euler
-            rhs = self._C @ x / h + b_next
-        else:
-            b_now = np.asarray(self.system.source(t), dtype=float)
-            rhs = fac.M @ x
-            rhs += b_next
-            rhs += b_now
-        if not np.all(np.isfinite(rhs)):
-            error = SolverError(
-                f"non-finite right-hand side at t={t:.6e} "
-                "(NaN/Inf source or state)"
-            )
-            error.time_point = t
-            raise error
-        return fac.solve(rhs)
-
-    def step_window(self, x: np.ndarray, h_values: np.ndarray,
-                    b_next: np.ndarray,
-                    b_now: Optional[np.ndarray] = None,
-                    times: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance through a window of pre-evaluated source vectors.
-
-        ``h_values[k]`` is the step size of step ``k``; ``b_next[k]`` /
-        ``b_now[k]`` are the source vectors at the step's end / start
-        (``b_now`` is unused for backward Euler).  Replays the scalar
-        :meth:`step` arithmetic bit-for-bit — operand order and the
-        cached factorization are identical — while hoisting source
-        evaluation and attribute lookups out of the loop.  Returns the
-        states after each step, shape ``(len(h_values), n)``.
-        """
-        steps = len(h_values)
-        states = np.empty((steps, self.system.n))
-        x = np.asarray(x, dtype=float)
-        h_list = h_values.tolist() if isinstance(h_values, np.ndarray) \
-            else list(h_values)
-        h_cur = self.h
-        fac = self._fac
-        C = self._C
-        if fac.M is None:  # backward_euler
-            for k in range(steps):
-                hk = h_list[k]
-                if hk != h_cur:
-                    self.set_timestep(hk)
-                    h_cur = hk
-                    fac = self._fac
-                rhs = C @ x / hk + b_next[k]
-                x = fac.solve(rhs)
-                states[k] = x
-        else:
-            solve = fac.solve
-            M = fac.M
-            for k in range(steps):
-                hk = h_list[k]
-                if hk != h_cur:
-                    self.set_timestep(hk)
-                    h_cur = hk
-                    fac = self._fac
-                    solve = fac.solve
-                    M = fac.M
-                rhs = M @ x
-                rhs += b_next[k]
-                rhs += b_now[k]
-                x = solve(rhs)
-                states[k] = x
-        if not np.all(np.isfinite(states)):
-            bad = int(np.argwhere(
-                ~np.isfinite(states).all(axis=1)
-            )[0][0])
-            t_bad = float(times[bad]) if times is not None else float("nan")
-            error = SolverError(
-                f"non-finite right-hand side at t={t_bad:.6e} "
-                "(NaN/Inf source or state)"
-            )
-            error.time_point = t_bad
-            raise error
-        return states
+    def _source_blocks(self, b_next, b_now):
+        if self.method == "backward_euler":
+            return (b_next,)
+        return (b_next + b_now,)
 
 
-class ExpmStepper(_FactorCacheMixin):
+class ExpmStepper(_CachedStepper):
     """Exact fixed-step propagator for LTI systems with invertible C.
 
     Rewrites ``C x' + G x = b(t)`` as ``x' = A x + C^-1 b(t)`` with
@@ -528,11 +577,11 @@ class ExpmStepper(_FactorCacheMixin):
         F2 = int_0^h expm(A (h-s)) s ds,
         P_now  = (F1 - F2/h) C^-1,   P_next = (F2/h) C^-1.
 
-    Each step is then a handful of mat-vecs with *no* per-step solve;
-    the propagators are cached per ``h`` like LU factors.  Exact for
-    piecewise-linear inputs (and for any input at the sample instants up
-    to the hold), so fixed-step LTI sections lose the time-discretization
-    error entirely.
+    Each step is then one mat-vec and one add, like the dense
+    propagator, and the propagators are cached per ``h`` the same way.
+    Exact for piecewise-linear inputs (and for any input at the sample
+    instants up to the hold), so fixed-step LTI sections lose the
+    time-discretization error entirely.
     """
 
     method = "expm"
@@ -548,23 +597,12 @@ class ExpmStepper(_FactorCacheMixin):
 
     def _derive(self) -> None:
         C, G = self.system.dense_matrices()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                self._lu_c = lu_factor(C)
-        except (ValueError, Warning) as exc:
-            raise SolverError(
-                "ExpmStepper requires an invertible C matrix (a pure ODE "
-                "system); use the dense or sparse variants for DAE "
-                "networks"
-            ) from exc
-        if not np.all(np.isfinite(self._lu_c[0])):
-            raise SolverError(
-                "ExpmStepper requires an invertible C matrix (a pure ODE "
-                "system); use the dense or sparse variants for DAE "
-                "networks"
-            )
-        self._A = -lu_solve(self._lu_c, G)
+        _require_invertible(
+            C, "ExpmStepper requires an invertible C matrix (a pure ODE "
+            "system); use the dense or sparse variants for DAE networks")
+        self._C = C
+        self._A = -np.linalg.solve(C, G)
+        self._cols = source_columns(self.system)
 
     def rebind(self, system: LinearDae) -> None:
         """Adopt a re-assembled system and rebuild every propagator."""
@@ -572,7 +610,7 @@ class ExpmStepper(_FactorCacheMixin):
         self._derive()
         self.invalidate()
 
-    def _build(self, h: float) -> _ExpmFactors:
+    def _build(self, h: float) -> _Propagator:
         n = self.system.n
         eye = np.eye(n)
         aug = np.zeros((3 * n, 3 * n))
@@ -585,73 +623,24 @@ class ExpmStepper(_FactorCacheMixin):
                 f"matrix exponential overflow for h={h:.3e} "
                 "(unstable or badly scaled LTI section)"
             )
-        phi = np.ascontiguousarray(P[:n, :n])
         F1 = P[:n, n:2 * n]
         F2 = P[:n, 2 * n:]
-        # Fold C^-1 into the source propagators: X C^-1 = solve(C^T, X^T)^T.
-        P_now = lu_solve(self._lu_c, (F1 - F2 / h).T, trans=1).T
-        P_next = lu_solve(self._lu_c, (F2 / h).T, trans=1).T
-        return _ExpmFactors(phi, np.ascontiguousarray(P_now),
-                            np.ascontiguousarray(P_next))
+        # Fold C^-1 into the source propagators: X C^-1 = solve(C^T, X^T)^T;
+        # row j of the transpose is the gain of source column j.
+        held = np.linalg.solve(self._C.T, np.hstack(((F1 - F2 / h).T,
+                                                     (F2 / h).T)))
+        return _Propagator(
+            np.ascontiguousarray(P[:n, :n]),
+            tuple((0, col, held[col, :n].copy()) for col in self._cols)
+            + tuple((1, col, held[col, n:].copy()) for col in self._cols))
+
+    def _source_blocks(self, b_next, b_now):
+        return (b_now, b_next)
 
     def stats(self) -> dict:
         stats = super().stats()
         stats["solver.expm_cache_hits"] = self.cache_hits
         return stats
-
-    def step(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Advance from time ``t`` to ``t + h``."""
-        fac = self._fac
-        b_now = np.asarray(self.system.source(t), dtype=float)
-        b_next = np.asarray(self.system.source(t + self.h), dtype=float)
-        y = fac.phi @ x
-        y += fac.P_now @ b_now
-        y += fac.P_next @ b_next
-        if not np.all(np.isfinite(y)):
-            error = SolverError(
-                f"non-finite right-hand side at t={t:.6e} "
-                "(NaN/Inf source or state)"
-            )
-            error.time_point = t
-            raise error
-        return y
-
-    def step_window(self, x: np.ndarray, h_values: np.ndarray,
-                    b_next: np.ndarray,
-                    b_now: Optional[np.ndarray] = None,
-                    times: Optional[np.ndarray] = None) -> np.ndarray:
-        """Window counterpart of :meth:`step` (see
-        :meth:`LinearStepper.step_window`); ``b_now`` is required."""
-        steps = len(h_values)
-        states = np.empty((steps, self.system.n))
-        x = np.asarray(x, dtype=float)
-        h_list = h_values.tolist() if isinstance(h_values, np.ndarray) \
-            else list(h_values)
-        h_cur = self.h
-        fac = self._fac
-        for k in range(steps):
-            hk = h_list[k]
-            if hk != h_cur:
-                self.set_timestep(hk)
-                h_cur = hk
-                fac = self._fac
-            y = fac.phi @ x
-            y += fac.P_now @ b_now[k]
-            y += fac.P_next @ b_next[k]
-            x = y
-            states[k] = x
-        if not np.all(np.isfinite(states)):
-            bad = int(np.argwhere(
-                ~np.isfinite(states).all(axis=1)
-            )[0][0])
-            t_bad = float(times[bad]) if times is not None else float("nan")
-            error = SolverError(
-                f"non-finite right-hand side at t={t_bad:.6e} "
-                "(NaN/Inf source or state)"
-            )
-            error.time_point = t_bad
-            raise error
-        return states
 
 
 def make_stepper(system: LinearDae, h: float,

@@ -25,6 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 
 from ..core.errors import SolverError
+from ..core.time import FEMTO
 from .linear import (
     LinearDae,
     LinearStepper,
@@ -116,12 +117,45 @@ def substep_counts(t_prev, t, h_internal: float):
                       1.0).astype(np.int64)
 
 
+def tick_interval(t_prev, t):
+    """The step interval from ``t_prev`` to ``t``, exact on the kernel's
+    tick grid.
+
+    Activation instants are integer ticks scaled to seconds, so
+    ``t - t_prev`` carries their rounding and jitters at ULP level from
+    one nominal timestep to the next; dividing it by a substep count
+    then gives a new step size, and a new cached factorization, almost
+    every activation.  An interval within four ULPs of the absolute
+    times (the :func:`substep_counts` bound) of a whole number of ticks
+    is therefore returned as exactly ``ticks * FEMTO``, the same float
+    for every such timestep.  Any other interval (an instant off the
+    tick grid, such as a standalone 1/3 us) is returned unchanged.
+
+    Takes floats or arrays; the array form runs the float form's
+    operations elementwise, so the TDF window path and
+    :meth:`LinearTransientSolver.advance_to` agree bit for bit.
+    """
+    interval = t - t_prev
+    bound = 4.0 * _EPS * (abs(t) + abs(t_prev))
+    if isinstance(interval, float):
+        ticks = round(interval / FEMTO)
+        snapped = ticks * FEMTO
+        if ticks >= 1 and abs(interval - snapped) <= bound:
+            return snapped
+        return interval
+    ticks = np.rint(interval / FEMTO)
+    snapped = ticks * FEMTO
+    return np.where((ticks >= 1) & (abs(interval - snapped) <= bound),
+                    snapped, interval)
+
+
 class LinearTransientSolver(TransientSolver):
     """Built-in fixed-step solver for :class:`LinearDae` systems.
 
-    ``advance_to`` divides the requested interval into an integer number
-    of internal steps no larger than ``h_internal`` (defaulting to the
-    sync interval itself; see :func:`substep_counts`).
+    ``advance_to`` divides the requested interval (tick-exact, see
+    :func:`tick_interval`) into an integer number of internal steps no
+    larger than ``h_internal`` (defaulting to the sync interval itself;
+    see :func:`substep_counts`).
     """
 
     def __init__(self, system: LinearDae,
@@ -179,7 +213,7 @@ class LinearTransientSolver(TransientSolver):
             substeps = 1
         else:
             substeps = int(substep_counts(self._t, t, self.h_internal))
-        h = interval / substeps
+        h = tick_interval(self._t, t) / substeps
         if self._stepper is None:
             self._stepper = make_stepper(self.system, h, self.method,
                                          self.variant)
@@ -205,8 +239,9 @@ class LinearTransientSolver(TransientSolver):
         its step size; ``b_next[k]`` / ``b_now[k]`` are the source
         vectors at the step's end / start.  A caller replaying
         ``advance_to`` expands each synchronization interval into the
-        :func:`substep_counts` steps it takes, and the result is then
-        bit-identical to those ``advance_to`` calls.  Returns the
+        :func:`substep_counts` steps it takes, each the
+        :func:`tick_interval` divided by the count, and the result is
+        then bit-identical to those ``advance_to`` calls.  Returns the
         per-step states, shape ``(len(times), n)``.
         """
         if self._stepper is None:

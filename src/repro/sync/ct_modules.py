@@ -41,6 +41,7 @@ from ..ct.solver_api import (
     NonlinearTransientSolver,
     TransientSolver,
     substep_counts,
+    tick_interval,
 )
 from ..eln.components import Switch, Vsource, Isource
 from ..eln.network import Network
@@ -265,7 +266,8 @@ class CtTdfModule(TdfModule):
 
         Expands every activation into exactly the internal steps
         ``advance_to`` takes (:func:`~repro.ct.solver_api.substep_counts`
-        of them, each ``interval / count`` long), pre-evaluates every
+        of them, each the :func:`~repro.ct.solver_api.tick_interval`
+        divided by the count), pre-evaluates every
         source row at each step's start and end instants (replaying the
         ``InputHolder`` hold/interpolation arithmetic vectorized,
         bit-for-bit) and hands the solver one ``advance_window`` call.
@@ -277,9 +279,9 @@ class CtTdfModule(TdfModule):
         t_prev = np.empty(count)
         t_prev[0] = solver.time
         t_prev[1:] = times[:-1]
-        intervals = times - t_prev
-        if not np.all(intervals > 0.0):
+        if not np.all(times > t_prev):
             return None
+        intervals = tick_interval(t_prev, times)
         need_now = (solver.variant == "expm"
                     or solver.method == "trapezoidal")
         if solver.h_internal is None:

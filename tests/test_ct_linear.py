@@ -4,8 +4,7 @@ convergence orders, DC and AC analyses."""
 import numpy as np
 import pytest
 
-from repro.core import SolverError
-from repro.core import SimTime
+from repro.core import FEMTO, SimTime, SolverError
 from repro.ct import (
     LinearDae,
     LinearStepper,
@@ -13,8 +12,8 @@ from repro.ct import (
     state_space_to_dae,
 )
 from repro.ct.linear import ExpmStepper, make_stepper
-from repro.ct.solver_api import substep_counts
-from repro.eln import Capacitor, Isource, Network, Resistor
+from repro.ct.solver_api import substep_counts, tick_interval
+from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 
 
 def rc_dae(R=1e3, C=1e-6, v_in=1.0):
@@ -319,6 +318,100 @@ class TestSubstepCounts:
         assert substep_counts(0.0, 1e-6 * (1 + 1e-9), 1e-6) == 2
         # an interval far below h_internal still takes one step
         assert substep_counts(1.0, 1.0 + 1e-15, 1e-3) == 1
+
+
+class TestTickInterval:
+    @pytest.mark.parametrize("step_us", [0.1, 1, 3])
+    @pytest.mark.parametrize("start_s", [0.02, 1.0])
+    def test_grid_intervals_are_tick_exact(self, step_us, start_s):
+        """Intervals between tick-grid instants jitter at ULP level;
+        each comes out as exactly ``ticks * FEMTO``, in both forms."""
+        step = SimTime(step_us, "us")
+        first = int(round(start_s / step.to_seconds()))
+        times = (first + np.arange(200, dtype=np.int64)) * step.ticks * FEMTO
+        assert len(set(np.diff(times).tolist())) > 1
+        exact = tick_interval(times[:-1], times[1:])
+        assert np.all(exact == step.ticks * FEMTO)
+        scalar = [tick_interval(float(a), float(b))
+                  for a, b in zip(times[:-1], times[1:])]
+        assert all(type(h) is float for h in scalar)
+        assert np.array(scalar).tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("start_s", [0.0, 0.02])
+    def test_off_grid_interval_unchanged(self, start_s):
+        t = start_s + 1e-6 / 3
+        assert tick_interval(start_s, t) == t - start_s
+        array = tick_interval(np.array([start_s]), np.array([t]))
+        assert array.tobytes() == np.array([t - start_s]).tobytes()
+
+
+def rc_ladder(sections=40):
+    """A damped RC ladder driven by a sine voltage source."""
+    net = Network()
+    net.add(Vsource("Vin", "n0", "0",
+                    voltage=lambda t: np.sin(2e4 * np.pi * t)))
+    for k in range(sections):
+        net.add(Resistor(f"R{k}", f"n{k}", f"n{k + 1}", 1e3))
+        net.add(Capacitor(f"C{k}", f"n{k + 1}", "0", 1e-9))
+    return net.assemble()[0]
+
+
+class TestPropagatorAccuracy:
+    """The dense stepper keeps ``phi = A^-1 M`` and ``A^-1`` per step
+    size instead of solving with ``A`` every step; the recurrence it
+    runs stays at round-off distance from the per-step solve."""
+
+    STEPS = 10_000
+
+    def test_damped_ladder_matches_per_step_solve(self):
+        dae = rc_ladder()
+        h = 1e-7
+        times = np.arange(self.STEPS) * h
+        states = make_stepper(dae, h, "trapezoidal", "dense").step_block(
+            np.zeros(dae.n), times)
+        C, G = dae.dense_matrices()
+        A, M = 2.0 * C / h + G, 2.0 * C / h - G
+        forcing = dae.eval_source_block(times + h) \
+            + dae.eval_source_block(times)
+        x = np.zeros(dae.n)
+        reference = np.empty_like(states)
+        for k in range(self.STEPS):
+            x = reference[k] = np.linalg.solve(A, M @ x + forcing[k])
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(states - reference)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    def test_undamped_tank_matches_extended_precision(self, method):
+        """An LC tank (``C v' = -i``, ``L i' = v``) rings for 50
+        periods; compare with the same discretization run in
+        ``np.longdouble`` through the closed-form 2x2 inverse."""
+        cap, ind, h = 1e-6, 1e-3, 1e-6
+        C = np.diag([cap, ind])
+        G = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        dae = LinearDae(C, G, lambda t: np.array([1e-3 * np.cos(3e4 * t),
+                                                  0.0]))
+        x0 = np.array([1.0, 0.0])
+        times = np.arange(self.STEPS) * h
+        states = make_stepper(dae, h, method, "dense").step_block(x0, times)
+
+        ld = np.longdouble
+        h_ld = ld(h)
+        scale = 1 if method == "backward_euler" else 2
+        A = np.array(C, dtype=ld) * scale / h_ld + np.array(G, dtype=ld)
+        M = np.array(C, dtype=ld) * scale / h_ld
+        if method == "trapezoidal":
+            M = M - np.array(G, dtype=ld)
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        A_inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+        x = np.array(x0, dtype=ld)
+        reference = np.empty(states.shape, dtype=ld)
+        for k, t in enumerate(times):
+            rhs = M @ x + np.array(dae.source(t + h), dtype=ld)
+            if method == "trapezoidal":
+                rhs = rhs + np.array(dae.source(t), dtype=ld)
+            x = reference[k] = A_inv @ rhs
+        error = np.max(np.abs(states - reference))
+        assert error <= 1e-9 * np.max(np.abs(reference))
 
 
 class TestStateSpaceAdapter:

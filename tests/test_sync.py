@@ -222,37 +222,51 @@ class TestElnTdf:
         assert top.rec.samples[-1] == pytest.approx(1.0, abs=1e-3)
 
 
+class OversampledRcTop(Module):
+    """A 1 us sine into an RC front end with ``oversample=2``, like the
+    pin-accurate level of the sigma-delta refinement flow."""
+
+    def __init__(self):
+        super().__init__("top")
+        self.s_in = TdfSignal("s_in")
+        self.s_out = TdfSignal("s_out")
+        self.src = SineSource("src", self, freq=3e3, timestep=us(1))
+        self.rc = ElnTdfModule("rc", rc_network(1e3, 1e-9), parent=self,
+                               oversample=2)
+        self.rec = Recorder("rec", self)
+        self.src.out(self.s_in)
+        self.rc.drive_voltage("Vin")(self.s_in)
+        self.rc.sample_voltage("out")(self.s_out)
+        self.rec.inp(self.s_out)
+
+
 class TestOversampledStepCount:
     """``oversample=k`` means exactly k solver steps per activation,
     however late in the run (the absolute times' rounding grows with
-    simulated time; the substep count must not)."""
+    simulated time; the substep count must not), and every step of a
+    nominal timestep has the same size."""
 
-    @pytest.mark.parametrize("block", [True, False],
-                             ids=["block", "scalar"])
-    def test_exact_substeps_past_20ms(self, block):
-        class Top(Module):
-            def __init__(self):
-                super().__init__("top")
-                self.s_in = TdfSignal("s_in")
-                self.s_out = TdfSignal("s_out")
-                self.src = SineSource("src", self, freq=3e3,
-                                      timestep=us(1))
-                self.rc = ElnTdfModule("rc", rc_network(1e3, 1e-9),
-                                       parent=self, oversample=2)
-                self.rec = Recorder("rec", self)
-                self.src.out(self.s_in)
-                self.rc.drive_voltage("Vin")(self.s_in)
-                self.rc.sample_voltage("out")(self.s_out)
-                self.rec.inp(self.s_out)
+    @pytest.fixture(scope="class", params=[True, False],
+                    ids=["block", "scalar"])
+    def late_run(self, request):
+        top = OversampledRcTop()
+        sim = Simulator(top, tdf_block=request.param)
+        sim.run(SimTime(25, "ms"))
+        return top, sim.metrics_snapshot()
 
-        top = Top()
-        sim = Simulator(top, tdf_block=block)
-        sim.run(SimTime(20500, "us"))
+    def test_exact_substeps_past_20ms(self, late_run):
+        top, snapshot = late_run
         activations = top.rc.activation_count
         assert activations > 20_000
         # the first activation is the consistent initialization
-        assert sim.metrics_snapshot()["solver.steps"] \
-            == 2 * (activations - 1)
+        assert snapshot["solver.steps"] == 2 * (activations - 1)
+
+    def test_one_factorization_per_nominal_step(self, late_run):
+        """Tick-exact step sizes: the jittered sync intervals of a 1 us
+        timestep all give one ``h``, so one cached factorization."""
+        _top, snapshot = late_run
+        assert snapshot["solver.factorizations"] == 1
+        assert snapshot["solver.refactorizations"] == 0
 
 
 class TestOversampleRule:
