@@ -215,9 +215,9 @@ def _rtl_digest():
 #: SHA-256 digests of the reference scheduling of each model.
 GOLDEN = {
     "adsl-seed-1":
-        "2daf6c61d0878147f53aa6a98071fd69ad6b25e6be2114754dcff4bb85fafbd6",
+        "5e7884be3eb1757f8331595e896dedeffa44466e4fdc0756eb74e8d552975ce6",
     "adsl-seed-2":
-        "c61022e7038117d9984803a1cf935681096b743c430afe28e7df43c61ed8f66c",
+        "307ee8ae9c6ed23f00a02564c798b6cd4cfe22e00f1c4b6978e6cda95b653fd9",
     "rtl-fsm":
         "027ed1243174f8ed6d1a8eaf5b1820b31eee198909c1d5d5840f713909560a40",
 }
