@@ -364,11 +364,9 @@ class CtTdfModule(TdfModule):
         # Leave holders, gating memory and delta exactly as the last
         # scalar activation would have (checkpoint parity).
         for (_port, holder), col in zip(self._inputs, columns):
-            holder._previous = float(col[-2]) if count >= 2 \
-                else holder.value
-            holder.value = float(col[-1])
-            holder._t0 = float(t_prev[-1])
-            holder._t1 = float(times[-1])
+            if count >= 2:
+                holder.value = float(col[-2])
+            holder.push(float(col[-1]), float(t_prev[-1]), float(times[-1]))
         self._last_inputs = tuple(float(col[-1]) for col in columns)
         before = states[-2] if count >= 2 else x_before
         self._last_delta = float(np.max(np.abs(states[-1] - before))) \
