@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -233,7 +233,7 @@ class LinearDae:
         return times, states
 
 
-def source_columns(system: LinearDae) -> list[int]:
+def _source_columns(system: LinearDae) -> list[int]:
     """The columns of ``b`` a system's source can make nonzero: the
     stamped rows of an assembled ELN/LSF network (``source.rows``), or
     every column for any other source."""
@@ -296,27 +296,21 @@ def _check_finite(states: np.ndarray, times) -> None:
     raise error
 
 
-class _Propagator:
+class _Propagator(NamedTuple):
     """One-step propagators for one timestep value: a step is
     ``x' = phi @ x + w`` with ``w`` formed from the ``(block, column,
     gain)`` source terms (see :func:`_forcing`)."""
 
-    __slots__ = ("phi", "terms")
-
-    def __init__(self, phi, terms):
-        self.phi = phi
-        self.terms = terms
+    phi: np.ndarray
+    terms: tuple
 
 
-class _SuperLU:
+class _SuperLU(NamedTuple):
     """Sparse factors for one timestep value: a step solves
     ``A x' = M @ x + w``."""
 
-    __slots__ = ("M", "solve")
-
-    def __init__(self, M, solve):
-        self.M = M
-        self.solve = solve
+    M: object
+    solve: Callable[[np.ndarray], np.ndarray]
 
 
 class _CachedStepper:
@@ -501,7 +495,7 @@ class LinearStepper(_CachedStepper):
 
     def _bind_matrices(self) -> None:
         system = self.system
-        self._cols = source_columns(system)
+        self._cols = _source_columns(system)
         if self.variant == "sparse":
             if system.is_sparse:
                 self._C, self._G = system.C, system.G
@@ -602,7 +596,7 @@ class ExpmStepper(_CachedStepper):
             "system); use the dense or sparse variants for DAE networks")
         self._C = C
         self._A = -np.linalg.solve(C, G)
-        self._cols = source_columns(self.system)
+        self._cols = _source_columns(self.system)
 
     def rebind(self, system: LinearDae) -> None:
         """Adopt a re-assembled system and rebuild every propagator."""
