@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -309,7 +309,7 @@ class _SuperLU(NamedTuple):
     """Sparse factors for one timestep value: a step solves
     ``A x' = M @ x + w``."""
 
-    M: object
+    M: Any  # a scipy.sparse matrix
     solve: Callable[[np.ndarray], np.ndarray]
 
 
@@ -415,7 +415,7 @@ class _CachedStepper:
             return np.empty((0, self.system.n))
         cuts = (np.flatnonzero(h_values[1:] != h_values[:-1]) + 1).tolist()
         parts = []
-        for a, b in zip([0] + cuts, cuts + [len(h_values)]):
+        for a, b in zip([0, *cuts], [*cuts, len(h_values)]):
             self.set_timestep(float(h_values[a]))
             parts.append(self._advance(
                 x, b_next[a:b], None if b_now is None else b_now[a:b],
