@@ -118,21 +118,16 @@ def substep_counts(t_prev, t, h_internal: float):
 
 
 def tick_interval(t_prev, t):
-    """The step interval from ``t_prev`` to ``t``, exact on the kernel's
-    tick grid.
+    """The interval from ``t_prev`` to ``t``, exact on the tick grid.
 
     Activation instants are integer ticks scaled to seconds, so
-    ``t - t_prev`` carries their rounding and jitters at ULP level from
-    one nominal timestep to the next; dividing it by a substep count
-    then gives a new step size, and a new cached factorization, almost
-    every activation.  An interval within four ULPs of the absolute
-    times (the :func:`substep_counts` bound) of a whole number of ticks
-    is therefore returned as exactly ``ticks * FEMTO``, the same float
-    for every such timestep.  Any other interval (an instant off the
-    tick grid, such as a standalone 1/3 us) is returned unchanged.
-
-    Takes floats or arrays; the array form runs the float form's
-    operations elementwise, so the TDF window path and
+    ``t - t_prev`` jitters at ULP level from one nominal timestep to
+    the next, and so would every step size divided from it.  An
+    interval within four ULPs of the absolute times (the
+    :func:`substep_counts` bound) of a whole number of ticks is
+    returned as exactly ``ticks * FEMTO``; any other interval, such as
+    a standalone 1/3 us, unchanged.  Takes floats or arrays, with the
+    same operations elementwise, so the TDF window path and
     :meth:`LinearTransientSolver.advance_to` agree bit for bit.
     """
     interval = t - t_prev
