@@ -444,13 +444,9 @@ class _CachedStepper:
         else:
             states = _forcing(blocks, fac.terms)
             phi = fac.phi
-            if len(states) == 1:  # step(): spare the row iterator's setup
-                row = states[0]
+            for row in states:  # overwrite each forcing row in place
                 row += np.dot(phi, x)
-            else:
-                for row in states:  # overwrite each forcing row in place
-                    row += np.dot(phi, x)
-                    x = row
+                x = row
         # one reduction; a non-finite sum may also be an overflow
         if not math.isfinite(np.add.reduce(states, axis=None)):
             _check_finite(states, times)
