@@ -233,13 +233,13 @@ class LinearDae:
         return times, states
 
 
-def _source_columns(system: LinearDae) -> list[int]:
+def _source_columns(system: LinearDae) -> Optional[list[int]]:
     """The columns of ``b`` a system's source can make nonzero: the
     stamped rows of an assembled ELN/LSF network (``source.rows``), or
-    every column for any other source."""
+    None (every column) for any other source."""
     rows = getattr(system.source, "rows", None)
     if rows is None:
-        return list(range(system.n))
+        return None
     return sorted({row for row, _waveform, _scale in rows})
 
 
@@ -264,16 +264,25 @@ def _require_invertible(A: np.ndarray, singular: str,
         raise SolverError(singular)
 
 
-def _forcing(blocks, terms) -> np.ndarray:
-    """Per-step forcing terms ``w[k] = sum gain * blocks[i][k, col]``
-    over the ``(i, col, gain)`` terms, in order.
+def _forcing(blocks, fac: _Propagator) -> np.ndarray:
+    """Per-step forcing terms ``w[k]``, each bit-identical whatever the
+    number of steps.
 
-    Elementwise products and sums only: each row is bit-identical
-    whatever the number of rows, where a matrix product could let BLAS
-    pick a different summation order per shape.
+    A row-layout source sums ``gain * blocks[i][:, col]`` over its
+    ``(i, col, gain)`` terms elementwise for the whole run, a few array
+    operations however long the run.  Any other source takes one
+    mat-vec ``gain @ b[k]`` of the stacked blocks per step, the same
+    shape every step, where one matrix product over the run could let
+    BLAS pick a different summation order per shape.
     """
+    if fac.terms is None:
+        b = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        w = np.empty((len(b), len(fac.gain)))
+        for k in range(len(b)):
+            np.dot(fac.gain, b[k], out=w[k])
+        return w
     w = None
-    for index, col, gain in terms:
+    for index, col, gain in fac.terms:
         term = blocks[index][:, col, None] * gain
         if w is None:
             w = term
@@ -299,10 +308,24 @@ def _check_finite(states: np.ndarray, times) -> None:
 class _Propagator(NamedTuple):
     """One-step propagators for one timestep value: a step is
     ``x' = phi @ x + w`` with ``w`` formed from the ``(block, column,
-    gain)`` source terms (see :func:`_forcing`)."""
+    gain)`` terms of a row-layout source, or else (``terms`` None) from
+    the ``gain`` of the stacked source blocks (see :func:`_forcing`)."""
 
     phi: np.ndarray
-    terms: tuple
+    terms: Optional[tuple]
+    gain: Optional[np.ndarray]
+
+
+def _propagator(phi: np.ndarray, gains, cols) -> _Propagator:
+    """Pack ``phi`` and the source propagators ``gains[i]`` of source
+    block ``i``, restricted to the source columns ``cols`` (every
+    column when None)."""
+    if cols is None:
+        return _Propagator(phi, None, np.ascontiguousarray(np.hstack(gains)))
+    return _Propagator(phi, tuple(
+        (index, col, np.ascontiguousarray(gain[:, j]))
+        for index, gain in enumerate(gains)
+        for j, col in enumerate(cols)), None)
 
 
 class _SuperLU(NamedTuple):
@@ -442,7 +465,7 @@ class _CachedStepper:
                 rhs += w[k]
                 x = states[k] = solve(rhs)
         else:
-            states = _forcing(blocks, fac.terms)
+            states = _forcing(blocks, fac)
             phi = fac.phi
             for row in states:  # overwrite each forcing row in place
                 row += np.dot(phi, x)
@@ -538,14 +561,13 @@ class LinearStepper(_CachedStepper):
         # threads spinning.
         n = self.system.n
         cols = self._cols
-        solved = np.linalg.solve(A, np.hstack((M, np.eye(n)[:, cols])))
+        eye = np.eye(n)
+        solved = np.linalg.solve(
+            A, np.hstack((M, eye if cols is None else eye[:, cols])))
         if not np.all(np.isfinite(solved)):
             raise SolverError(singular)
-        gains = solved[:, n:].T
-        return _Propagator(
-            np.ascontiguousarray(solved[:, :n]),
-            tuple((0, col, np.ascontiguousarray(gain))
-                  for col, gain in zip(cols, gains)))
+        return _propagator(np.ascontiguousarray(solved[:, :n]),
+                           (solved[:, n:],), cols)
 
     def _source_blocks(self, b_next, b_now):
         if self.method == "backward_euler":
@@ -623,10 +645,10 @@ class ExpmStepper(_CachedStepper):
         # row j of the transpose is the gain of source column j.
         held = np.linalg.solve(self._C.T, np.hstack(((F1 - F2 / h).T,
                                                      (F2 / h).T)))
-        return _Propagator(
-            np.ascontiguousarray(P[:n, :n]),
-            tuple((0, col, held[col, :n].copy()) for col in self._cols)
-            + tuple((1, col, held[col, n:].copy()) for col in self._cols))
+        if self._cols is not None:
+            held = held[self._cols]
+        return _propagator(np.ascontiguousarray(P[:n, :n]),
+                           (held[:, :n].T, held[:, n:].T), self._cols)
 
     def _source_blocks(self, b_next, b_now):
         return (b_now, b_next)

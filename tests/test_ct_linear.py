@@ -223,7 +223,9 @@ class TestWindowPartition:
         (ode_ladder, "trapezoidal", "expm"),
         (ode_ladder, "trapezoidal", "sparse"),
         (plain_ode, "trapezoidal", "dense"),
-    ], ids=["dense-trap", "dense-be", "expm", "sparse-trap", "plain-dense"])
+        (plain_ode, "trapezoidal", "expm"),
+    ], ids=["dense-trap", "dense-be", "expm", "sparse-trap", "plain-dense",
+            "plain-expm"])
     def test_every_cut_and_step_loop_match(self, system, method, variant):
         dae = system()
         h_values = np.where((np.arange(self.STEPS) // 37) % 2 == 0,
