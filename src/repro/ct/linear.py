@@ -678,6 +678,31 @@ def make_stepper(system: LinearDae, h: float,
     return LinearStepper(system, h, method, variant)
 
 
+def backward_euler_step(system: LinearDae, x: np.ndarray, t: float,
+                        h: float) -> np.ndarray:
+    """One backward-Euler step of ``system`` from ``x`` at ``t`` to
+    ``t + h``, factorized and solved once: a single step gains nothing
+    from the per-``h`` products a stepper builds for repeated steps.
+    """
+    check_step_size(h)
+    C, G = system.C, system.G
+    A = C / h + G
+    rhs = C @ x / h + np.asarray(system.source(t + h), dtype=float)
+    singular = f"iteration matrix is singular for h={h:.3e}"
+    if system.is_sparse:
+        try:
+            x = splu(sp.csc_matrix(A)).solve(rhs)
+        except RuntimeError as exc:
+            raise SolverError(singular) from exc
+    else:
+        try:
+            x = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(singular) from exc
+    _check_finite(x[None], (t,))
+    return x
+
+
 def state_space_to_dae(
     A: np.ndarray,
     B: np.ndarray,

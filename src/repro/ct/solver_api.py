@@ -28,7 +28,7 @@ from ..core.errors import SolverError
 from ..core.time import FEMTO
 from .linear import (
     LinearDae,
-    LinearStepper,
+    backward_euler_step,
     check_step_size,
     make_stepper,
 )
@@ -192,8 +192,8 @@ class LinearTransientSolver(TransientSolver):
         algebraic rows re-solve against the current source values.
         """
         h_tiny = h_reference * 1e-9
-        stepper = LinearStepper(self.system, h_tiny, "backward_euler")
-        self._x = stepper.step(self._x, self._t - h_tiny)
+        self._x = backward_euler_step(self.system, self._x,
+                                      self._t - h_tiny, h_tiny)
         return self._x
 
     def advance_to(self, t: float) -> np.ndarray:

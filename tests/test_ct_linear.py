@@ -296,6 +296,35 @@ class TestLinearTransientSolver:
         np.testing.assert_allclose(state, [0.0])
 
 
+class TestSnapAlgebraic:
+    @pytest.mark.parametrize("sparse", [False, True],
+                             ids=["dense", "sparse"])
+    def test_moves_algebraic_unknowns_only(self, sparse):
+        level = [1.0]
+        net = Network()
+        net.add(Vsource("Vin", "in", "0", voltage=lambda t: level[0]))
+        net.add(Resistor("R1", "in", "out", 1e3))
+        net.add(Capacitor("C1", "out", "0", 1e-9))
+        dae, _ = net.assemble(sparse=sparse)
+        solver = LinearTransientSolver(dae)
+        solver.initialize()
+        level[0] = 2.0
+        x = solver.snap_algebraic(1e-6)
+        names = dae.names
+        assert x[names.index("v(in)")] == pytest.approx(2.0, rel=1e-12)
+        assert x[names.index("v(out)")] == pytest.approx(1.0, rel=1e-6)
+        assert abs(x[names.index("i(Vin)")]) == pytest.approx(1e-3,
+                                                              rel=1e-6)
+        assert solver.time == 0.0 and solver.step_count == 0
+
+    def test_singular_system_rejected(self):
+        solver = LinearTransientSolver(
+            LinearDae(C=np.zeros((1, 1)), G=np.zeros((1, 1))))
+        solver.initialize(x0=np.zeros(1))
+        with pytest.raises(SolverError, match="singular"):
+            solver.snap_algebraic(1e-6)
+
+
 class TestSubstepCounts:
     @pytest.mark.parametrize("step_us", [0.1, 1, 3])
     @pytest.mark.parametrize("oversample", [2, 3, 4])
