@@ -264,31 +264,29 @@ def _require_invertible(A: np.ndarray, singular: str,
         raise SolverError(singular)
 
 
-def _forcing(blocks, fac: _Propagator) -> np.ndarray:
-    """Per-step forcing terms ``w[k]``, each bit-identical whatever the
-    number of steps.
+def _forcing(b: np.ndarray, fac: _Propagator) -> np.ndarray:
+    """Per-step forcing terms ``w[k]`` of the stacked source vectors
+    ``b``, each bit-identical whatever the number of steps.
 
-    A row-layout source sums ``gain * blocks[i][:, col]`` over its
-    ``(i, col, gain)`` terms elementwise for the whole run, a few array
-    operations however long the run.  Any other source takes one
-    mat-vec ``gain @ b[k]`` of the stacked blocks per step, the same
-    shape every step, where one matrix product over the run could let
-    BLAS pick a different summation order per shape.
+    A row-layout source sums ``gain * b[:, col]`` over its few ``(col,
+    gain)`` terms elementwise for the whole run; any other source takes
+    one mat-vec ``gain @ b[k]`` of the same shape per step.  One matrix
+    product over the run could let BLAS pick a different summation
+    order per shape.
     """
     if fac.terms is None:
-        b = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         w = np.empty((len(b), len(fac.gain)))
         for k in range(len(b)):
             np.dot(fac.gain, b[k], out=w[k])
         return w
     w = None
-    for index, col, gain in fac.terms:
-        term = blocks[index][:, col, None] * gain
+    for col, gain in fac.terms:
+        term = b[:, col, None] * gain
         if w is None:
             w = term
         else:
             w += term
-    return np.zeros(blocks[0].shape) if w is None else w
+    return np.zeros((len(b), len(fac.gain))) if w is None else w
 
 
 def _check_finite(states: np.ndarray, times) -> None:
@@ -307,25 +305,21 @@ def _check_finite(states: np.ndarray, times) -> None:
 
 class _Propagator(NamedTuple):
     """One-step propagators for one timestep value: a step is
-    ``x' = phi @ x + w`` with ``w`` formed from the ``(block, column,
-    gain)`` terms of a row-layout source, or else (``terms`` None) from
-    the ``gain`` of the stacked source blocks (see :func:`_forcing`)."""
+    ``x' = phi @ x + gain @ b`` for its stacked source vector ``b``,
+    summed over the ``(column, gain column)`` terms when the source has
+    a row layout (see :func:`_forcing`)."""
 
     phi: np.ndarray
+    gain: np.ndarray
     terms: Optional[tuple]
-    gain: Optional[np.ndarray]
 
 
-def _propagator(phi: np.ndarray, gains, cols) -> _Propagator:
-    """Pack ``phi`` and the source propagators ``gains[i]`` of source
-    block ``i``, restricted to the source columns ``cols`` (every
-    column when None)."""
-    if cols is None:
-        return _Propagator(phi, None, np.ascontiguousarray(np.hstack(gains)))
-    return _Propagator(phi, tuple(
-        (index, col, np.ascontiguousarray(gain[:, j]))
-        for index, gain in enumerate(gains)
-        for j, col in enumerate(cols)), None)
+def _propagator(phi, gain, cols) -> _Propagator:
+    """Pack ``phi`` and the source propagator ``gain``, whose columns
+    are the stacked source columns ``cols`` (every column when None)."""
+    terms = None if cols is None else tuple(
+        (col, np.ascontiguousarray(g)) for col, g in zip(cols, gain.T))
+    return _Propagator(np.ascontiguousarray(phi), gain, terms)
 
 
 class _SuperLU(NamedTuple):
@@ -341,9 +335,8 @@ class _CachedStepper:
     counters, and the stepping loops of every variant.
 
     Subclasses provide ``_build(h)`` (a :class:`_Propagator` or a
-    :class:`_SuperLU`) and ``_source_blocks(b_next, b_now)``, the
-    source arrays a step's forcing term is formed from (the blocks a
-    propagator's source terms index).
+    :class:`_SuperLU`) and ``_stacked(b_next, b_now)``, the source
+    vectors a step's forcing term is formed from.
     ``factorizations`` counts every build performed, ``cache_hits``
     every reuse of a cached one, and ``refactorizations`` the builds
     forced by :meth:`invalidate` (topology/switch events) rather than
@@ -455,19 +448,19 @@ class _CachedStepper:
         """
         fac = self._fac
         x = np.ascontiguousarray(x, dtype=float)
-        blocks = self._source_blocks(b_next, b_now)
+        b = self._stacked(b_next, b_now)
         if isinstance(fac, _SuperLU):
-            w = blocks[0]
             M, solve = fac.M, fac.solve
-            states = np.empty_like(w)
-            for k in range(len(w)):
+            states = np.empty_like(b)
+            for k in range(len(b)):
                 rhs = M @ x
-                rhs += w[k]
+                rhs += b[k]
                 x = states[k] = solve(rhs)
         else:
-            states = _forcing(blocks, fac)
+            states = _forcing(b, fac)
             phi = fac.phi
-            for row in states:  # overwrite each forcing row in place
+            for k in range(len(states)):  # indexing beats iterating rows
+                row = states[k]  # the forcing row, overwritten in place
                 row += np.dot(phi, x)
                 x = row
         # one reduction; a non-finite sum may also be an overflow
@@ -566,13 +559,12 @@ class LinearStepper(_CachedStepper):
             A, np.hstack((M, eye if cols is None else eye[:, cols])))
         if not np.all(np.isfinite(solved)):
             raise SolverError(singular)
-        return _propagator(np.ascontiguousarray(solved[:, :n]),
-                           (solved[:, n:],), cols)
+        return _propagator(solved[:, :n], solved[:, n:], cols)
 
-    def _source_blocks(self, b_next, b_now):
+    def _stacked(self, b_next, b_now):
         if self.method == "backward_euler":
-            return (b_next,)
-        return (b_next + b_now,)
+            return b_next
+        return b_next + b_now
 
 
 class ExpmStepper(_CachedStepper):
@@ -618,7 +610,9 @@ class ExpmStepper(_CachedStepper):
             "system); use the dense or sparse variants for DAE networks")
         self._C = C
         self._A = -np.linalg.solve(C, G)
-        self._cols = _source_columns(self.system)
+        cols = _source_columns(self.system)
+        self._cols = None if cols is None \
+            else cols + [self.system.n + col for col in cols]  # [b(t), b(t+h)]
 
     def rebind(self, system: LinearDae) -> None:
         """Adopt a re-assembled system and rebuild every propagator."""
@@ -642,16 +636,16 @@ class ExpmStepper(_CachedStepper):
         F1 = P[:n, n:2 * n]
         F2 = P[:n, 2 * n:]
         # Fold C^-1 into the source propagators: X C^-1 = solve(C^T, X^T)^T;
-        # row j of the transpose is the gain of source column j.
+        # stacked, the columns act on b(t), then on b(t+h).
         held = np.linalg.solve(self._C.T, np.hstack(((F1 - F2 / h).T,
                                                      (F2 / h).T)))
-        if self._cols is not None:
-            held = held[self._cols]
-        return _propagator(np.ascontiguousarray(P[:n, :n]),
-                           (held[:, :n].T, held[:, n:].T), self._cols)
+        gain = np.vstack((held[:, :n], held[:, n:])).T
+        cols = self._cols
+        return _propagator(P[:n, :n],
+                           gain if cols is None else gain[:, cols], cols)
 
-    def _source_blocks(self, b_next, b_now):
-        return (b_now, b_next)
+    def _stacked(self, b_next, b_now):
+        return np.hstack((b_now, b_next))
 
     def stats(self) -> dict:
         stats = super().stats()
@@ -681,24 +675,17 @@ def make_stepper(system: LinearDae, h: float,
 def backward_euler_step(system: LinearDae, x: np.ndarray, t: float,
                         h: float) -> np.ndarray:
     """One backward-Euler step of ``system`` from ``x`` at ``t`` to
-    ``t + h``, factorized and solved once: a single step gains nothing
-    from the per-``h`` products a stepper builds for repeated steps.
-    """
+    ``t + h``, solved directly: a single step gains nothing from the
+    per-``h`` products a stepper builds for repeated steps."""
     check_step_size(h)
-    C, G = system.C, system.G
-    A = C / h + G
-    rhs = C @ x / h + np.asarray(system.source(t + h), dtype=float)
-    singular = f"iteration matrix is singular for h={h:.3e}"
-    if system.is_sparse:
-        try:
-            x = splu(sp.csc_matrix(A)).solve(rhs)
-        except RuntimeError as exc:
-            raise SolverError(singular) from exc
-    else:
-        try:
-            x = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(singular) from exc
+    A = system.C / h + system.G
+    rhs = system.C @ x / h + np.asarray(system.source(t + h), dtype=float)
+    try:
+        x = splu(sp.csc_matrix(A)).solve(rhs) if system.is_sparse \
+            else np.linalg.solve(A, rhs)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise SolverError(
+            f"iteration matrix is singular for h={h:.3e}") from exc
     _check_finite(x[None], (t,))
     return x
 
