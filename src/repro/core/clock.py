@@ -31,12 +31,16 @@ class Clock(Module):
             raise ValueError("clock period must be positive")
         if not 0.0 < duty_cycle < 1.0:
             raise ValueError("duty cycle must lie strictly between 0 and 1")
+        high = SimTime.from_ticks(round(period.ticks * duty_cycle))
+        if not 0 < high.ticks < period.ticks:
+            raise ValueError(
+                f"clock {name!r}: duty cycle {duty_cycle} of a {period} "
+                "period leaves a phase shorter than one tick")
         self.period = period
         self.duty_cycle = duty_cycle
         self.start_time = start_time
         self.posedge_first = posedge_first
         self.signal = BitSignal(f"{name}.signal", initial=not posedge_first)
-        high = SimTime.from_ticks(round(period.ticks * duty_cycle))
         self._first_width = high if posedge_first else period - high
         self._second_width = period - self._first_width
         self.thread(self._generate, name="generate")

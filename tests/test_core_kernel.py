@@ -412,6 +412,34 @@ class TestClock:
         with pytest.raises(ValueError):
             Clock("c", period=ns(10), duty_cycle=1.5)
 
+    @pytest.mark.parametrize("period_fs, duty_cycle", [
+        (1, 0.5), (100, 0.004), (100, 0.996), (3, 0.1)])
+    def test_phase_shorter_than_one_tick_rejected(self, period_fs,
+                                                   duty_cycle):
+        with pytest.raises(ValueError, match="shorter than one tick"):
+            Clock("c", period=SimTime(period_fs, "fs"),
+                  duty_cycle=duty_cycle)
+
+    def test_one_tick_phases_alternate(self):
+        levels = []
+
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.clk = Clock("clk", period=SimTime(2, "fs"),
+                                 parent=self)
+                self.thread(self.sample)
+
+            def sample(self):
+                while True:
+                    levels.append(self.clk.read())
+                    yield SimTime(1, "fs")
+
+        Simulator(Top()).run(SimTime(5, "fs"))
+        # Sampled in delta 0, before each edge's update: the level the
+        # previous edge left (low before the first posedge at 0).
+        assert levels == [False, True, False, True, False, True]
+
     def test_posedge_count(self):
         edges = []
 
