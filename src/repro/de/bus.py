@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.clock import Clock
-from ..core.errors import ElaborationError
+from ..core.errors import ElaborationError, SimulationError
 from ..core.module import Module
 from ..core.signal import BitSignal, Signal
 
@@ -127,6 +127,7 @@ class RegisterFile(Module):
 
     def poke(self, address: int, value) -> None:
         """Backdoor write (hardware-originated status updates)."""
+        self._check_backdoor(address)
         self.registers[address] = value
         mirror = self._mirrors.get(address)
         if mirror is not None:
@@ -134,4 +135,12 @@ class RegisterFile(Module):
 
     def peek(self, address: int):
         """Backdoor read."""
+        self._check_backdoor(address)
         return self.registers[address]
+
+    def _check_backdoor(self, address: int) -> None:
+        # A negative index would silently reach the last registers.
+        if not 0 <= address < len(self.registers):
+            raise SimulationError(
+                f"{self.name}: backdoor register address {address} out "
+                f"of range 0..{len(self.registers) - 1}")

@@ -9,6 +9,7 @@ from repro.core import (
     Module,
     Signal,
     SimTime,
+    SimulationError,
     Simulator,
 )
 from repro.de import (
@@ -255,6 +256,16 @@ class TestBusFunctionalModel:
         Simulator(top).run(SimTime(100, "ns"))
         top.regs.poke(9, 123)
         assert top.regs.peek(9) == 123
+
+    @pytest.mark.parametrize("address", [-1, -16, 16, 99])
+    def test_backdoor_rejects_out_of_range_address(self, address):
+        regs = RegisterFile("r", Bus("b"), Clock("clk", period=ns(10)),
+                            size=16)
+        with pytest.raises(SimulationError, match=f"address {address} "):
+            regs.poke(address, 7)
+        with pytest.raises(SimulationError, match=f"address {address} "):
+            regs.peek(address)
+        assert regs.registers == [0] * 16
 
     def test_out_of_range_addresses_ignored(self):
         def program(top):
