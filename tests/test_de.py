@@ -285,3 +285,67 @@ class TestBusFunctionalModel:
         regs = RegisterFile("r", bus, clk, size=4)
         with pytest.raises(ElaborationError):
             regs.mirror(10)
+
+
+class TestIdle:
+    """``BusMaster.idle(n)`` resumes where ``n`` posedge waits would: in
+    delta 1 of the n-th rising edge after the call, with nothing else
+    observing the clock.  The clock is high for 3 of its 10 ns."""
+
+    #: how the thread reaches the call: the call's instant, and the
+    #: first rising edge after it
+    STARTS = {
+        "initialization": (0, 0),
+        "after a posedge": (ns(30).ticks, ns(40).ticks),
+        "at a negedge": (ns(23).ticks, ns(30).ticks),
+    }
+
+    def idle_from(self, start, cycles):
+        marks = []
+
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.clk = Clock("clk", period=ns(10), duty_cycle=0.3,
+                                 parent=self)
+                self.master = BusMaster("cpu", Bus("bus"), self.clk,
+                                        parent=self)
+                self.thread(self.program)
+
+            def program(self):
+                if start == "after a posedge":
+                    yield ns(25)
+                    yield self.clk.posedge_event()
+                elif start == "at a negedge":
+                    yield ns(21)
+                    yield self.clk.negedge_event()
+                marks.append(self.mark())
+                yield from self.master.idle(cycles)
+                marks.append(self.mark())
+
+            def mark(self):
+                return (kernel.now_ticks, kernel.delta_count - instant[0])
+
+        top = Top()
+        sim = Simulator(top)
+        kernel = sim.kernel
+        # delta count at the first delta of the current instant
+        instant = [0]
+        kernel.add_time_callback(
+            lambda ticks: instant.__setitem__(0, kernel.delta_count))
+        sim.run(ns(10) * (cycles + 10))
+        return marks
+
+    @pytest.mark.parametrize("start", list(STARTS))
+    @pytest.mark.parametrize("cycles", [1, 2, 3, 2000])
+    def test_resumes_in_delta_one_of_the_nth_posedge(self, start, cycles):
+        called, first_posedge = self.STARTS[start]
+        marks = self.idle_from(start, cycles)
+        assert marks[0][0] == called
+        assert marks[1] == (first_posedge + (cycles - 1) * ns(10).ticks, 1)
+
+    @pytest.mark.parametrize("start", list(STARTS))
+    def test_idle_zero_returns_at_once(self, start):
+        marks = self.idle_from(start, 0)
+        assert marks[0][0] == self.STARTS[start][0]
+        assert marks[1] == marks[0]

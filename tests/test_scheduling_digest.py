@@ -11,6 +11,14 @@ statistic unchanged.
 
 Float streams are rounded to 9 decimals before hashing so the digest
 does not depend on last-bit differences between numerical libraries.
+
+The ADSL *DE-visible pin* is coarser.  It hashes only what a model
+outside the kernel can observe: every change of a non-clock DE signal
+as ``(ticks, delta within the instant, signal, value)``, sorted within
+each delta, with the software's view and the output streams.  It holds
+when the kernel visits fewer instants (a clock edge no process
+observes is skipped), and when processes within one delta run in
+another order.
 """
 
 import hashlib
@@ -21,8 +29,9 @@ import pytest
 
 from repro.adsl import AdslConfig, AdslSystem
 from repro.core import Clock, Event, Module, Signal, SimTime, Simulator
-from repro.core.process import METHOD
+from repro.core.process import METHOD, Process
 from repro.de import (
+    Bus,
     CombinationalLogic,
     Counter,
     EdgeDetector,
@@ -30,6 +39,7 @@ from repro.de import (
     ShiftRegister,
     Synchronizer,
 )
+from repro.tdf.module import TdfDeIn, TdfDeOut
 
 #: Tone bins of the Figure-1 test tone (coherent with the 31.25 kHz
 #: decimated rate over 256 samples).
@@ -116,6 +126,63 @@ def _adsl_digest(seed: int):
         "registers": list(top.registers.registers),
     }
     return _digest(sim, record, streams)
+
+
+def _de_signals(top) -> list:
+    """Every DE signal the modules of ``top`` hold, drive or sample,
+    except the clock's: module attributes, bus bundles and the signals
+    bound to TDF converter ports."""
+    found = {}
+    for module in top.walk():
+        for value in vars(module).values():
+            if isinstance(value, Bus):
+                candidates = [s for s in vars(value).values()
+                              if isinstance(s, Signal)]
+            elif isinstance(value, (TdfDeIn, TdfDeOut)):
+                candidates = [value.port.resolve()]
+            elif isinstance(value, Signal):
+                candidates = [value]
+            else:
+                continue
+            for signal in candidates:
+                found[id(signal)] = signal
+    found.pop(id(top.clk.signal))
+    return sorted(found.values(), key=lambda signal: signal.name)
+
+
+def _adsl_de_pin(seed: int):
+    top = AdslSystem(_adsl_config(seed))
+    sim = Simulator(top)
+    sim.elaborate()
+    kernel = sim.kernel
+    # delta count at the first delta of the instant being simulated
+    instant = [0]
+    kernel.add_time_callback(
+        lambda ticks: instant.__setitem__(0, kernel.delta_count))
+    changes = []
+    signals = _de_signals(top)
+    for signal in signals:
+        def record(signal=signal):
+            changes.append((kernel.now_ticks,
+                            kernel.delta_count - instant[0],
+                            signal.name, signal.read()))
+
+        kernel.register_process(Process(
+            f"pin.{signal.name}", METHOD, record,
+            [signal.default_event()], dont_initialize=True))
+    sim.run(SimTime(1, "ms"))
+    sha = hashlib.sha256()
+    # Changes come in (ticks, delta) order; sorting orders each delta.
+    sha.update(repr(sorted(changes)).encode())
+    sha.update(repr((top.software_log, top.registers.registers,
+                     top.cpu.transaction_count,
+                     top.registers.write_count)).encode())
+    for stream in ("tap_drive", "tap_sub", "hook_sink", "dsp_rx"):
+        sha.update(stream.encode())
+        sha.update(_stream_bytes(getattr(top, stream).samples))
+    summary = {"signals": [signal.name for signal in signals],
+               "changes": len(changes), "software_log": top.software_log}
+    return sha.hexdigest(), summary
 
 
 class RtlTop(Module):
@@ -212,6 +279,12 @@ def _rtl_digest():
     return _digest(sim, record, streams)
 
 
+#: SHA-256 digests of the ADSL DE-visible pin (1 ms per seed).
+DE_PIN = {
+    1: "2a356d29b1a016da502ae0695db1d796acc3aa9a457fac5ae4198de1a1019c4f",
+    2: "51a5666b8aa55e28ccdb6998767e5ec2f1e54d4d547358ec8ebb500bdf310506",
+}
+
 #: SHA-256 digests of the reference scheduling of each model.
 GOLDEN = {
     "adsl-seed-1":
@@ -227,6 +300,13 @@ GOLDEN = {
 def test_adsl_scheduling_digest(seed):
     digest, summary = _adsl_digest(seed)
     assert digest == GOLDEN[f"adsl-seed-{seed}"], summary
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_adsl_de_visible_pin(seed):
+    digest, summary = _adsl_de_pin(seed)
+    assert len(summary["signals"]) == 8, summary
+    assert digest == DE_PIN[seed], summary
 
 
 def test_rtl_fsm_scheduling_digest():
