@@ -15,6 +15,22 @@ class Clock(Module):
     Produces a :class:`~repro.core.signal.BitSignal` named ``signal``
     toggling with the given period and duty cycle.  The first posedge
     occurs at ``start_time`` (default: time zero).
+
+    The kernel simulates only the edges a process can observe.  While
+    no process is statically sensitive to the clock's value-changed,
+    posedge or negedge event, none waits on one of them, and nothing
+    else is due at an edge's instant, the kernel skips that edge (see
+    :meth:`Kernel._skip_clock <repro.core.kernel.Kernel._skip_clock>`).
+    The clock moves to its first edge at or after the next instant the
+    kernel visits, and ``signal`` takes the level the skipped edges
+    leave, with no event.
+    A process that reads the level, waits for an edge or asks
+    ``signal.event()`` sees what an edge-by-edge clock would show it.
+    ``kernel.activations``, ``kernel.delta_cycles``, the
+    ``kernel.events_per_delta`` histogram and the kernel's time
+    callbacks count only the instants the kernel visits.  A clock with
+    a static observer, such as an RTL process or a trace, is never
+    skipped.
     """
 
     def __init__(
@@ -41,9 +57,14 @@ class Clock(Module):
         self.start_time = start_time
         self.posedge_first = posedge_first
         self.signal = BitSignal(f"{name}.signal", initial=not posedge_first)
-        self._first_width = high if posedge_first else period - high
-        self._second_width = period - self._first_width
-        self.thread(self._generate, name="generate")
+        #: how long the clock holds each level, indexed by the level
+        self._hold = (period - high, high)
+        #: the level the clock drives at its next edge
+        self._level = posedge_first
+        signal = self.signal
+        self._events = (signal.default_event(), signal.posedge_event(),
+                        signal.negedge_event())
+        self.thread(self._generate, name="generate").clock = self
 
     def default_event(self):
         return self.signal.default_event()
@@ -60,11 +81,41 @@ class Clock(Module):
     def _generate(self):
         if self.start_time.ticks > 0:
             yield self.start_time
-        signal = self.signal
-        level = self.posedge_first
-        first, second = self._first_width, self._second_width
+        write = self.signal.write
+        low, high = self._hold
         while True:
-            signal.write(level)
-            yield first
-            signal.write(not level)
-            yield second
+            # Read at every wake: skipping edges moves the clock on.
+            level = self._level
+            self._level = not level
+            write(level)
+            yield high if level else low
+
+    # -- edge skipping (kernel-internal) ----------------------------------
+
+    def _statically_observed(self) -> bool:
+        return any(event._static_sensitive for event in self._events)
+
+    def _observed(self) -> bool:
+        changed, posedge, negedge = self._events
+        return bool(changed._dynamic_waiters or posedge._dynamic_waiters
+                    or negedge._dynamic_waiters)
+
+    def _skip(self, ticks: int, target: int) -> int:
+        """Skip the edges from the one due at ``ticks`` (``< target``)
+        to the first at or after ``target``, and return that edge's
+        time, the clock's next wake."""
+        level = self._level
+        period = self.period.ticks
+        # The edges a whole number of periods on drive the same level.
+        ticks += (target - ticks) // period * period
+        if ticks < target:
+            hold = self._hold[level].ticks
+            if ticks + hold < target:
+                ticks += period
+            else:
+                ticks += hold
+                level = not level
+        self._level = level
+        # The edge before drove the other level; no process saw it.
+        self.signal.set_initial(not level)
+        return ticks

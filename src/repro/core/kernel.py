@@ -10,7 +10,8 @@ Implements the SystemC 2.0 scheduler loop the paper builds on ([10]):
    sensitive to them become runnable.  If any did, go to 1 (next delta
    cycle at the same simulation time).
 4. **Time advance** — otherwise advance simulation time to the earliest
-   timed notification and fire it.
+   timed notification and fire it.  A clock edge that no process can
+   observe is skipped instead (see :meth:`Kernel._skip_clock`).
 
 The kernel is deliberately independent of any analog extension: the AMS
 layers (`repro.tdf`, `repro.sync`) attach to it only through ordinary
@@ -54,6 +55,9 @@ class Kernel:
         self._timed: list[list] = []
         self._seq = 0
         self._processes: list[Process] = []
+        #: generator thread -> Clock, for every clock that no process
+        #: is statically sensitive to (see :meth:`_skip_clock`)
+        self._idle_clocks: dict = {}
         self._initialized = False
         self._stop_requested = False
         self._time_callbacks: list[Callable[[int], None]] = []
@@ -101,9 +105,13 @@ class Kernel:
         for event in process.static_sensitivity:
             event._attach_kernel(self)
             event.add_static(process)
+        if self._initialized:
+            self._find_idle_clocks()
 
     def add_time_callback(self, callback: Callable[[int], None]) -> None:
-        """Invoke ``callback(now_ticks)`` after every time advance."""
+        """Invoke ``callback(now_ticks)`` after every time advance.
+
+        A skipped clock edge is not one (see :meth:`_skip_clock`)."""
         self._time_callbacks.append(callback)
 
     # -- scheduling interface used by Event / Process ------------------------
@@ -145,6 +153,7 @@ class Kernel:
         if self._initialized:
             return
         self._initialized = True
+        self._find_idle_clocks()
         for process in self._processes:
             if not process.dont_initialize:
                 self.make_runnable(process)
@@ -164,6 +173,7 @@ class Kernel:
         self.run_limit_ticks = limit
         self.initialize()
         timed = self._timed
+        idle_clocks = self._idle_clocks
         while not self._stop_requested:
             ticks = self.next_activity_ticks()
             if ticks is None:
@@ -171,6 +181,9 @@ class Kernel:
             if limit is not None and ticks > limit:
                 self.now_ticks = limit
                 break
+            if idle_clocks and timed[0][2] in idle_clocks \
+                    and self._skip_clock(limit):
+                continue
             if ticks < self.now_ticks:
                 raise SimulationError(
                     "scheduler attempted to move time backwards")
@@ -205,6 +218,58 @@ class Kernel:
         return timed[0][0] if timed else None
 
     # -- internals ----------------------------------------------------------
+
+    def _find_idle_clocks(self) -> None:
+        # Updated in place: run() holds the dict.
+        idle = self._idle_clocks
+        idle.clear()
+        for process in self._processes:
+            clock = process.clock
+            if clock is not None and not clock._statically_observed():
+                idle[process] = clock
+
+    def _skip_clock(self, limit: Optional[int]) -> bool:
+        """Skip the earliest timed entry, the wake of a clock with no
+        static observer, if the clock's edge is all that is due then.
+
+        That holds when no process waits on the clock's events and no
+        other entry shares the instant.  The clock moves to its first
+        edge at or after the next other entry, or past ``limit`` if that
+        comes first, and its signal takes the level the skipped edges
+        leave, with no event (:meth:`Clock._skip
+        <repro.core.clock.Clock._skip>`).  This is exact:
+
+        * no process runs at a skipped instant;
+        * a later read of the clock sees the level the edges would have
+          left, and ``event()`` is false at every later instant, as it
+          would be;
+        * the moved wake sorts after every entry already due at its
+          instant.  Stepping edge by edge, the wake would have been
+          scheduled at the previous edge, after all of those entries,
+          and sorted there too.
+
+        Returns False, changing nothing, when the edge must run, or when
+        an unbounded run has nothing else scheduled (the clock then
+        steps edge by edge, as it would without skipping).
+        """
+        timed = self._timed
+        entry = timed[0]
+        clock = self._idle_clocks[entry[2]]
+        if clock._observed():
+            return False
+        heappop(timed)
+        target = self.next_activity_ticks()
+        if limit is not None and (target is None or target > limit):
+            target = limit + 1
+        if target is None or target == entry[0]:
+            heappush(timed, entry)
+            return False
+        # The handle the thread holds stays valid: move the entry itself.
+        self._seq += 1
+        entry[0] = clock._skip(entry[0], target)
+        entry[1] = self._seq
+        heappush(timed, entry)
+        return True
 
     def _settle_current_time(self) -> None:
         """Run delta cycles until the current time has no more activity."""

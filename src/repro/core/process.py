@@ -42,6 +42,7 @@ class Process:
         "_queued",
         "last_trigger",
         "terminated_event",
+        "clock",
     )
 
     def __init__(
@@ -67,6 +68,10 @@ class Process:
         #: The event that most recently made this process runnable.
         self.last_trigger: Optional[Event] = None
         self.terminated_event = Event(f"{name}.terminated")
+        #: The :class:`~repro.core.clock.Clock` whose edges this thread
+        #: generates, else None; the kernel skips the edges of a clock
+        #: that no process observes.
+        self.clock = None
 
     # -- state ------------------------------------------------------------
 

@@ -32,7 +32,9 @@ class Signal(Generic[T]):
         self._change_ticks = -1
 
     def set_initial(self, value: T) -> None:
-        """Assign the pre-simulation value directly (no update phase)."""
+        """Assign the value directly, with no update phase and no event:
+        the pre-simulation value, or the level that clock edges no
+        process observed leave (see :class:`~repro.core.clock.Clock`)."""
         self._current = value
         self._next = value
 

@@ -92,3 +92,32 @@ def simulate(clock, scripts, chunks, observed):
 def test_unobserved_clock_matches_observed_clock(clock, scripts, chunks):
     assert simulate(clock, scripts, chunks, observed=False) == \
         simulate(clock, scripts, chunks, observed=True)
+
+
+class OneWaiter(Module):
+    """A 10-tick clock and one thread that waits on it twice."""
+
+    def __init__(self, observed: bool):
+        super().__init__("top")
+        self.clk = Clock("clk", period=fs(10), parent=self)
+        self.thread(self.script)
+        if observed:
+            self.method(lambda: None, sensitivity=[self.clk],
+                        dont_initialize=True, name="observer")
+
+    def script(self):
+        yield fs(333)
+        yield self.clk.posedge_event()
+        yield fs(1000)
+        yield self.clk.negedge_event()
+
+
+def test_unobserved_edges_are_not_simulated():
+    activations = {}
+    for observed in (False, True):
+        sim = Simulator(OneWaiter(observed))
+        sim.run(fs(5000))
+        activations[observed] = sim.kernel.activation_count
+    # Observed, all 1,001 edges run the clock and the method.  Otherwise
+    # the clock runs only where the thread does or waits on it.
+    assert activations[False] * 10 <= activations[True], activations
