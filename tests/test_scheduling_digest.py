@@ -288,9 +288,9 @@ DE_PIN = {
 #: SHA-256 digests of the reference scheduling of each model.
 GOLDEN = {
     "adsl-seed-1":
-        "5e7884be3eb1757f8331595e896dedeffa44466e4fdc0756eb74e8d552975ce6",
+        "7a42270f6742a8cd8013685198ab3709567ae66699536ba8bccb89c9901fd396",
     "adsl-seed-2":
-        "307ee8ae9c6ed23f00a02564c798b6cd4cfe22e00f1c4b6978e6cda95b653fd9",
+        "931ef44da10d584af7f54211668c9162be0d19970b0dc82acb04f5936dde8b0d",
     "rtl-fsm":
         "027ed1243174f8ed6d1a8eaf5b1820b31eee198909c1d5d5840f713909560a40",
 }
