@@ -16,21 +16,14 @@ class Clock(Module):
     toggling with the given period and duty cycle.  The first posedge
     occurs at ``start_time`` (default: time zero).
 
-    The kernel simulates only the edges a process can observe.  While
-    no process is statically sensitive to the clock's value-changed,
-    posedge or negedge event, none waits on one of them, and nothing
-    else is due at an edge's instant, the kernel skips that edge (see
+    The kernel skips an edge that no process can observe (see
     :meth:`Kernel._skip_clock <repro.core.kernel.Kernel._skip_clock>`).
-    The clock moves to its first edge at or after the next instant the
-    kernel visits, and ``signal`` takes the level the skipped edges
-    leave, with no event.
-    A process that reads the level, waits for an edge or asks
-    ``signal.event()`` sees what an edge-by-edge clock would show it.
-    ``kernel.activations``, ``kernel.delta_cycles``, the
-    ``kernel.events_per_delta`` histogram and the kernel's time
-    callbacks count only the instants the kernel visits.  A clock with
-    a static observer, such as an RTL process or a trace, is never
-    skipped.
+    Reads of the level, edge waits and ``signal.event()`` see what an
+    edge-by-edge clock would show them, but ``kernel.activations``,
+    ``kernel.delta_cycles``, the ``kernel.events_per_delta`` histogram
+    and time callbacks count only the instants the kernel visits.  A
+    clock with a static observer, such as an RTL process or a trace, is
+    never skipped.
     """
 
     def __init__(

@@ -57,7 +57,7 @@ class Kernel:
         self._processes: list[Process] = []
         #: generator thread -> Clock, for every clock that no process
         #: is statically sensitive to (see :meth:`_skip_clock`)
-        self._idle_clocks: dict = {}
+        self._skippable_clocks: dict = {}
         self._initialized = False
         self._stop_requested = False
         self._time_callbacks: list[Callable[[int], None]] = []
@@ -106,7 +106,7 @@ class Kernel:
             event._attach_kernel(self)
             event.add_static(process)
         if self._initialized:
-            self._find_idle_clocks()
+            self._find_skippable_clocks()
 
     def add_time_callback(self, callback: Callable[[int], None]) -> None:
         """Invoke ``callback(now_ticks)`` after every time advance.
@@ -153,7 +153,7 @@ class Kernel:
         if self._initialized:
             return
         self._initialized = True
-        self._find_idle_clocks()
+        self._find_skippable_clocks()
         for process in self._processes:
             if not process.dont_initialize:
                 self.make_runnable(process)
@@ -173,7 +173,7 @@ class Kernel:
         self.run_limit_ticks = limit
         self.initialize()
         timed = self._timed
-        idle_clocks = self._idle_clocks
+        skippable = self._skippable_clocks
         while not self._stop_requested:
             ticks = self.next_activity_ticks()
             if ticks is None:
@@ -181,7 +181,7 @@ class Kernel:
             if limit is not None and ticks > limit:
                 self.now_ticks = limit
                 break
-            if idle_clocks and timed[0][2] in idle_clocks \
+            if skippable and timed[0][2] in skippable \
                     and self._skip_clock(limit):
                 continue
             if ticks < self.now_ticks:
@@ -219,42 +219,33 @@ class Kernel:
 
     # -- internals ----------------------------------------------------------
 
-    def _find_idle_clocks(self) -> None:
+    def _find_skippable_clocks(self) -> None:
         # Updated in place: run() holds the dict.
-        idle = self._idle_clocks
-        idle.clear()
+        skippable = self._skippable_clocks
+        skippable.clear()
         for process in self._processes:
             clock = process.clock
             if clock is not None and not clock._statically_observed():
-                idle[process] = clock
+                skippable[process] = clock
 
     def _skip_clock(self, limit: Optional[int]) -> bool:
         """Skip the earliest timed entry, the wake of a clock with no
-        static observer, if the clock's edge is all that is due then.
+        static observer, when only that edge is due: no process waits
+        on the clock and no other entry shares the instant.
 
-        That holds when no process waits on the clock's events and no
-        other entry shares the instant.  The clock moves to its first
-        edge at or after the next other entry, or past ``limit`` if that
-        comes first, and its signal takes the level the skipped edges
-        leave, with no event (:meth:`Clock._skip
-        <repro.core.clock.Clock._skip>`).  This is exact:
-
-        * no process runs at a skipped instant;
-        * a later read of the clock sees the level the edges would have
-          left, and ``event()`` is false at every later instant, as it
-          would be;
-        * the moved wake sorts after every entry already due at its
-          instant.  Stepping edge by edge, the wake would have been
-          scheduled at the previous edge, after all of those entries,
-          and sorted there too.
-
-        Returns False, changing nothing, when the edge must run, or when
-        an unbounded run has nothing else scheduled (the clock then
-        steps edge by edge, as it would without skipping).
+        The clock moves to its first edge at or after the next other
+        entry, or past ``limit`` if that comes first; its signal takes
+        the level the skipped edges leave, with no event.  This is
+        exact: no process runs at a skipped instant, later reads see
+        the level and ``event()`` the edges would have left, and the
+        moved wake sorts after every entry already due at its instant,
+        as the wake scheduled at the previous edge would.  An unbounded
+        run with nothing else scheduled keeps stepping edge by edge.
+        Returns whether the entry moved.
         """
         timed = self._timed
         entry = timed[0]
-        clock = self._idle_clocks[entry[2]]
+        clock = self._skippable_clocks[entry[2]]
         if clock._observed():
             return False
         heappop(timed)

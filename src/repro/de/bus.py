@@ -100,10 +100,10 @@ class RegisterFile(Module):
     writes.
 
     A thread serves the bus and waits on the clock only while a strobe
-    is high, so an idle bus leaves the clock unobserved.  In a rising
-    edge's delta it runs after the master's transaction code (it
-    started waiting later), where an edge-sensitive method ran before;
-    the signal changes of each delta are the same.
+    is high, so an idle bus leaves the clock unobserved.  Within a
+    rising edge's delta it may run after the master, where a method on
+    the edge always ran first; each delta's signal changes are the
+    same.
     """
 
     def __init__(self, name: str, bus: Bus, clock: Clock, size: int = 32,
