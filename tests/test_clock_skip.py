@@ -6,10 +6,12 @@ one extra method statically sensitive to the clock, which keeps every
 edge simulated.  What the model's threads observe must not differ.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Clock, Module, SimTime, Simulator
+
+from .test_scheduling_digest import _wrap
 
 #: the clock events a script step may wait on
 EDGE_WAITS = ("posedge", "negedge", "changed")
@@ -94,6 +96,42 @@ def test_unobserved_clock_matches_observed_clock(clock, scripts, chunks):
         simulate(clock, scripts, chunks, observed=True)
 
 
+def activation_order(clock, scripts, chunks, observed):
+    """``(ticks, delta within the instant, process)`` of every
+    activation but the observer method's."""
+    top = ClockedScripts(clock, scripts, observed)
+    sim = Simulator(top)
+    sim.elaborate()
+    kernel = top.kernel = sim.kernel
+    # No wait is zero ticks, so the kernel visits each instant once.
+    first_delta = {0: 0}
+    kernel.add_time_callback(
+        lambda ticks: first_delta.setdefault(ticks, kernel.delta_count))
+    record = []
+    for process in kernel._processes:
+        if process.name != "top.observer":
+            process.func = _wrap(process, kernel, record)
+    for chunk in chunks:
+        sim.run(fs(chunk))
+    return [(ticks, delta - first_delta[ticks], name)
+            for ticks, delta, name in record]
+
+
+@given(clock_settings(), scripts, chunks)
+@settings(max_examples=100, deadline=None, derandomize=True)
+# The thread's wake lands on an edge whose wake the clock scheduled
+# first: the clock must still run first there.
+@example({"period": fs(10), "duty_cycle": 0.5, "posedge_first": True,
+          "start_time": fs(0)}, [["posedge", 5, 5]], [100])
+def test_unobserved_clock_keeps_activation_order(clock, scripts, chunks):
+    """At every instant the kernel still visits, the same processes run
+    in the same deltas and order as with every edge simulated."""
+    lazy = activation_order(clock, scripts, chunks, observed=False)
+    eager = activation_order(clock, scripts, chunks, observed=True)
+    visited = {ticks for ticks, _, _ in lazy}
+    assert lazy == [entry for entry in eager if entry[0] in visited]
+
+
 class OneWaiter(Module):
     """A 10-tick clock and one thread that waits on it twice."""
 
@@ -119,5 +157,8 @@ def test_unobserved_edges_are_not_simulated():
         sim.run(fs(5000))
         activations[observed] = sim.kernel.activation_count
     # Observed, all 1,001 edges run the clock and the method.  Otherwise
-    # the clock runs only where the thread does or waits on it.
+    # the clock runs only where the thread does or waits on it: at 0,
+    # 335, 340, 1340 and 1345, and the run ends without the edge at the
+    # limit (5000), which nothing observes either.
     assert activations[False] * 10 <= activations[True], activations
+    assert activations[False] == 10, activations
