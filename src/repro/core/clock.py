@@ -52,8 +52,10 @@ class Clock(Module):
         self.signal = BitSignal(f"{name}.signal", initial=not posedge_first)
         #: how long the clock holds each level, indexed by the level
         self._hold = (period - high, high)
-        #: the level the clock drives at its next edge
-        self._level = posedge_first
+        #: the level the clock drives at its next edge, in a list: its
+        #: item is cheaper to read and set on every edge than an
+        #: attribute of an elaborated module
+        self._next_level = [posedge_first]
         signal = self.signal
         self._events = (signal.default_event(), signal.posedge_event(),
                         signal.negedge_event())
@@ -76,10 +78,11 @@ class Clock(Module):
             yield self.start_time
         write = self.signal.write
         low, high = self._hold
+        next_level = self._next_level
         while True:
             # Read at every wake: skipping edges moves the clock on.
-            level = self._level
-            self._level = not level
+            level = next_level[0]
+            next_level[0] = not level
             write(level)
             yield high if level else low
 
@@ -97,7 +100,7 @@ class Clock(Module):
         """Skip the edges from the one due at ``ticks`` (``< target``)
         to the first at or after ``target``, and return that edge's
         time, the clock's next wake."""
-        level = self._level
+        level = self._next_level[0]
         period = self.period.ticks
         # The edges a whole number of periods on drive the same level.
         ticks += (target - ticks) // period * period
@@ -108,7 +111,7 @@ class Clock(Module):
             else:
                 ticks += hold
                 level = not level
-        self._level = level
+        self._next_level[0] = level
         # The edge before drove the other level; no process saw it.
         self.signal.set_initial(not level)
         return ticks
