@@ -3,7 +3,9 @@
 The kernel need not simulate a clock edge that no process can see.
 Each property below runs one random model twice: as it is, and with
 one extra method statically sensitive to the clock, which keeps every
-edge simulated.  What the model's threads observe must not differ.
+edge simulated.  What the model's threads observe, and the order in
+which processes run at the instants the kernel still visits, must not
+differ.
 """
 
 from hypothesis import example, given, settings
