@@ -128,9 +128,10 @@ class Kernel:
         """Fire the event, or wake the thread process, ``target`` at
         ``ticks``; returns the handle :meth:`cancel_timed` takes.
 
-        The entry is a list so that it can be cancelled in place; the
-        heap orders entries in C on ``(ticks, seq)``, and ``seq`` is
-        unique, so entries due at one instant keep scheduling order.
+        The entry is a list so that it can be cancelled (or a skipped
+        clock's wake moved) in place; the heap orders entries in C on
+        ``(ticks, seq)``, and ``seq`` is unique, so entries due at one
+        instant keep scheduling order.
         """
         self._seq += 1
         entry = [ticks, self._seq, target]
