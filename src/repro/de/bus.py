@@ -133,8 +133,8 @@ class RegisterFile(Module):
         """Run :meth:`_edge` on every rising edge that finds a strobe
         high."""
         bus = self.bus
-        clock = self.clock.signal
-        posedge = clock.posedge_event()
+        clk = self.clock.signal
+        posedge = clk.posedge_event()
         strobes = (bus.write_enable.posedge_event(),
                    bus.read_enable.posedge_event())
         while True:
@@ -143,7 +143,7 @@ class RegisterFile(Module):
             else:
                 yield strobes
                 # A strobe that rose with the clock meets this edge.
-                if not (clock.event() and clock.read()):
+                if not (clk.event() and clk.read()):
                     yield posedge
             self._edge()
 
