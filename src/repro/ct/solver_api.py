@@ -93,6 +93,14 @@ class TransientSolver(abc.ABC):
                         np.asarray(data["x"], dtype=float))
 
 
+def check_target_time(t: float) -> float:
+    """Return ``t`` if a solver can advance to it (finite), else raise
+    :class:`SolverError` before any time or state changes."""
+    if not math.isfinite(t):
+        raise SolverError(f"cannot advance to a non-finite time {t}")
+    return t
+
+
 def substep_counts(t_prev, t, h_internal: float):
     """Internal steps a fixed-step solver takes from ``t_prev`` to ``t``:
     the fewest equal steps no longer than ``h_internal``.
@@ -197,9 +205,7 @@ class LinearTransientSolver(TransientSolver):
         return self._x
 
     def advance_to(self, t: float) -> np.ndarray:
-        if not math.isfinite(t):
-            raise SolverError(f"cannot advance to a non-finite time {t}")
-        interval = t - self._t
+        interval = check_target_time(t) - self._t
         if interval < 0:
             raise SolverError("cannot advance a transient solver backwards")
         if interval == 0:
@@ -320,7 +326,7 @@ class NonlinearTransientSolver(TransientSolver):
     def advance_to(self, t: float) -> np.ndarray:
         from ..core.errors import ConvergenceError
 
-        span = t - self._t
+        span = check_target_time(t) - self._t
         if span < 0:
             raise SolverError("cannot advance a transient solver backwards")
         if span == 0:
@@ -503,7 +509,7 @@ class ScipyIvpSolver(TransientSolver):
         return self._x
 
     def advance_to(self, t: float) -> np.ndarray:
-        if t < self._t:
+        if check_target_time(t) < self._t:
             raise SolverError("cannot advance a transient solver backwards")
         if t == self._t:
             return self._x

@@ -199,6 +199,16 @@ class TestScipyPlugin:
         x = solver.advance_to(1.0)
         assert x[0] == pytest.approx(np.exp(-1.0), rel=1e-6)
 
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_non_finite_target_rejected(self, target):
+        solver = ScipyIvpSolver(rhs=lambda t, x: -x, n=1)
+        solver.initialize(x0=np.array([1.0]))
+        with pytest.raises(SolverError, match="non-finite time"):
+            solver.advance_to(target)
+        assert solver.time == 0.0 and solver.segment_count == 0
+        x = solver.advance_to(1.0)
+        assert x[0] == pytest.approx(np.exp(-1.0), rel=1e-6)
+
     def test_requires_exactly_one_spec(self):
         with pytest.raises(SolverError):
             ScipyIvpSolver()

@@ -218,6 +218,22 @@ class TestNonlinearTransientSolver:
         with pytest.raises(SolverError):
             solver.advance_to(1e-7)
 
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_non_finite_target_rejected(self, target):
+        solver = NonlinearTransientSolver(DiodeRc(i_sat=0.0, v_supply=1.0))
+        solver.initialize(x0=np.zeros(1))
+        solver.advance_to(1e-6)
+        counts = (solver.step_count, solver.rejected_count)
+        state = solver.state.copy()
+        with pytest.raises(SolverError, match="non-finite time"):
+            solver.advance_to(target)
+        assert solver.time == 1e-6
+        assert (solver.step_count, solver.rejected_count) == counts
+        assert solver.state.tobytes() == state.tobytes()
+        solver.advance_to(2e-6)
+        assert solver.time == 2e-6 and solver.step_count > counts[0]
+        assert solver.state[0] > state[0]
+
 
 class TestFunctionSystem:
     def test_numeric_jacobians_used_when_missing(self):
