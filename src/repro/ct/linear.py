@@ -220,8 +220,12 @@ class LinearDae:
 
         Returns ``(times, states)`` with ``states[k]`` the solution at
         ``times[k]``; ``times[0] == t0`` holds the initial condition
-        (default: the DC operating point).
+        (default: the DC operating point).  ``t_end`` must be finite and
+        not before ``t0``.
         """
+        if not t0 <= t_end < math.inf:  # NaN fails both comparisons
+            raise SolverError(
+                f"t_end must be finite and not before t0={t0}, got {t_end}")
         stepper = make_stepper(self, h, method, variant)
         x = self.dc() if x0 is None else np.asarray(x0, dtype=float)
         steps = int(round((t_end - t0) / h))

@@ -13,7 +13,14 @@ from repro.ct import (
 )
 from repro.ct.linear import ExpmStepper, make_stepper
 from repro.ct.solver_api import substep_counts, tick_interval
-from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
+from repro.eln import (
+    Capacitor,
+    Isource,
+    Network,
+    Resistor,
+    Vsource,
+    transient_analysis,
+)
 
 
 def rc_dae(R=1e3, C=1e-6, v_in=1.0):
@@ -86,6 +93,22 @@ class TestTransientAccuracy:
         tail = states[times > 20 * tau, 0]
         # At the corner, |H| = 1/sqrt(2).
         assert np.max(np.abs(tail)) == pytest.approx(1 / np.sqrt(2), rel=1e-2)
+
+    @pytest.mark.parametrize("t_end", [-1e-3, -1e-6, np.nan, np.inf])
+    def test_unreachable_end_time_rejected(self, t_end):
+        dae, _ = rc_dae()
+        with pytest.raises(SolverError, match="t_end"):
+            dae.transient(t_end, 1e-6)
+        net = Network()
+        net.add(Vsource("Vin", "in", "0", voltage=lambda t: 1.0))
+        net.add(Resistor("R1", "in", "0", 1e3))
+        with pytest.raises(SolverError, match="t_end"):
+            transient_analysis(net, t_end, 1e-6)
+
+    def test_zero_span_returns_initial_state(self):
+        dae, _ = rc_dae()
+        times, states = dae.transient(1e-3, 1e-6, x0=np.zeros(1), t0=1e-3)
+        assert times.tolist() == [1e-3] and states.tolist() == [[0.0]]
 
     def test_pure_dae_algebraic_constraint(self):
         # Voltage divider stated as a DAE with singular C:
