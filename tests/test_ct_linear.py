@@ -247,8 +247,20 @@ class TestWindowPartition:
         (ode_ladder, "trapezoidal", "sparse"),
         (plain_ode, "trapezoidal", "dense"),
         (plain_ode, "trapezoidal", "expm"),
+        # one to three unknowns, down to the voltage-driven RC (with
+        # algebraic rows) of a Sigma-Delta front end
+        (lambda: ode_ladder(1), "trapezoidal", "dense"),
+        (lambda: ode_ladder(1), "backward_euler", "dense"),
+        (lambda: ode_ladder(2), "trapezoidal", "dense"),
+        (lambda: ode_ladder(2), "backward_euler", "dense"),
+        (lambda: ode_ladder(3), "trapezoidal", "dense"),
+        (lambda: ode_ladder(3), "backward_euler", "dense"),
+        (lambda: ode_ladder(2), "trapezoidal", "expm"),
+        (lambda: plain_ode(3), "trapezoidal", "dense"),
+        (lambda: rc_ladder(1), "trapezoidal", "dense"),
     ], ids=["dense-trap", "dense-be", "expm", "sparse-trap", "plain-dense",
-            "plain-expm"])
+            "plain-expm", "1-trap", "1-be", "2-trap", "2-be", "3-trap",
+            "3-be", "2-expm", "plain-3", "rc-3"])
     def test_every_cut_and_step_loop_match(self, system, method, variant):
         dae = system()
         h_values = np.where((np.arange(self.STEPS) // 37) % 2 == 0,
@@ -273,6 +285,22 @@ class TestWindowPartition:
             stepper.set_timestep(h_values[k])
             x = looped[k] = stepper.step(x, times[k])
         assert looped.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("bad_step", [0, 57, 199])
+    def test_non_finite_step_reported_at_its_time(self, bad_step):
+        """A source that turns NaN at step ``k`` fails the window with
+        the time of step ``k``."""
+        dae = rc_ladder(1)
+        times = np.arange(self.STEPS) * 1e-6
+        b_next = dae.eval_source_block(times + 1e-6)
+        b_now = dae.eval_source_block(times)
+        b_next[bad_step:] = np.nan
+        b_now[bad_step + 1:] = np.nan
+        stepper = make_stepper(dae, 1e-6, "trapezoidal", "dense")
+        with pytest.raises(SolverError, match="non-finite") as error:
+            stepper.step_window(dae.dc(), np.full(self.STEPS, 1e-6),
+                                b_next, b_now, times)
+        assert error.value.time_point == times[bad_step]
 
 
 class TestLinearTransientSolver:
@@ -418,21 +446,23 @@ class TestPropagatorAccuracy:
     STEPS = 10_000
 
     def test_damped_ladder_matches_per_step_solve(self):
-        dae = rc_ladder()
         h = 1e-7
         times = np.arange(self.STEPS) * h
-        states = make_stepper(dae, h, "trapezoidal", "dense").step_block(
-            np.zeros(dae.n), times)
-        C, G = dae.dense_matrices()
-        A, M = 2.0 * C / h + G, 2.0 * C / h - G
-        forcing = dae.eval_source_block(times + h) \
-            + dae.eval_source_block(times)
-        x = np.zeros(dae.n)
-        reference = np.empty_like(states)
-        for k in range(self.STEPS):
-            x = reference[k] = np.linalg.solve(A, M @ x + forcing[k])
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(states - reference)) <= 1e-12 * scale
+        for sections in (40, 1):
+            dae = rc_ladder(sections)
+            states = make_stepper(dae, h, "trapezoidal", "dense").step_block(
+                np.zeros(dae.n), times)
+            C, G = dae.dense_matrices()
+            A, M = 2.0 * C / h + G, 2.0 * C / h - G
+            forcing = dae.eval_source_block(times + h) \
+                + dae.eval_source_block(times)
+            x = np.zeros(dae.n)
+            reference = np.empty_like(states)
+            for k in range(self.STEPS):
+                x = reference[k] = np.linalg.solve(A, M @ x + forcing[k])
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(states - reference)) <= 1e-12 * scale, \
+                f"{sections} sections"
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_undamped_tank_matches_extended_precision(self, method):
