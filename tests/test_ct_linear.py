@@ -1,6 +1,9 @@
 """Tests for the linear DAE solver: accuracy against analytic solutions,
 convergence orders, DC and AC analyses."""
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -301,6 +304,23 @@ class TestWindowPartition:
             stepper.step_window(dae.dc(), np.full(self.STEPS, 1e-6),
                                 b_next, b_now, times)
         assert error.value.time_point == times[bad_step]
+
+
+class TestFloatSteps:
+    def test_window_makes_no_call_per_step(self):
+        """Three unknowns step on Python floats: a 1,000-step window
+        makes a few dozen calls, not one ``np.dot`` per step."""
+        dae = ode_ladder(3)
+        steps = 1000
+        times = np.arange(steps) * 1e-6
+        b_next = dae.eval_source_block(times + 1e-6)
+        b_now = dae.eval_source_block(times)
+        stepper = make_stepper(dae, 1e-6, "trapezoidal", "dense")
+        profile = cProfile.Profile()
+        states = profile.runcall(stepper.step_window, np.zeros(dae.n),
+                                 np.full(steps, 1e-6), b_next, b_now, times)
+        assert states.shape == (steps, 3)
+        assert pstats.Stats(profile).total_calls <= 50
 
 
 class TestLinearTransientSolver:
