@@ -318,16 +318,11 @@ def _check_finite(states: np.ndarray, times) -> None:
 
 def _float_steps(phi: np.ndarray, x: np.ndarray,
                  w: np.ndarray) -> np.ndarray:
-    """The recurrence ``x = phi @ x + w[k]`` over the forcing rows ``w``
-    on Python floats, for at most :data:`FLOAT_STEP_MAX_UNKNOWNS`
-    unknowns; returns the states, shaped like ``w``.
-
-    A new component is ``w_i + (phi_i0 * x0 + phi_i1 * x1 + ...)``,
-    each product rounded and summed left to right.  A BLAS may fuse or
-    reorder a short dot product, so the NumPy loop can differ in the
-    last place; every window split and step loop runs this one
-    arithmetic.  A step calls no function.
-    """
+    """The states of ``x = phi @ x + w[k]`` over the forcing rows ``w``
+    on Python floats, with no call per step: each new component is
+    ``w_i + (phi_i0 * x0 + phi_i1 * x1 + ...)``, the products summed
+    left to right.  A BLAS may fuse or reorder a short dot product, so
+    the NumPy loop can differ in the last place."""
     rows = iter(w.ravel().tolist())
     out: list = []
     n = len(x)
