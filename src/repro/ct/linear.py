@@ -316,48 +316,53 @@ def _check_finite(states: np.ndarray, times) -> None:
     raise error
 
 
-def _float_steps(phi: np.ndarray, x: np.ndarray,
-                 w: np.ndarray) -> np.ndarray:
-    """The states of ``x = phi @ x + w[k]`` over the forcing rows ``w``
-    on Python floats, with no call per step: each new component is
-    ``w_i + (phi_i0 * x0 + phi_i1 * x1 + ...)``, the products summed
-    left to right.  A BLAS may fuse or reorder a short dot product, so
-    the NumPy loop can differ in the last place."""
-    rows = iter(w.ravel().tolist())
+def _float_steps(phi: list, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous forcing rows ``w`` (as :func:`_forcing`
+    makes them) with the states of ``x = phi @ x + w[k]``, stepped on
+    Python floats (``phi`` as nested lists) with no call per step: each
+    new component is ``w_i + (phi_i0 * x0 + phi_i1 * x1 + ...)``, the
+    products summed left to right.  A BLAS may fuse or reorder a short
+    dot product, so the NumPy loop can differ in the last place."""
+    flat = w.ravel()  # a view of w
+    forcing = iter(flat.tolist())
     out: list = []
     n = len(x)
     if n == 1:
-        [[p00]] = phi.tolist()
+        [[p00]] = phi
         [x0] = x.tolist()
-        for w0 in rows:
+        for w0 in forcing:
             x0 = w0 + p00 * x0
             out += x0,
     elif n == 2:
-        [p00, p01], [p10, p11] = phi.tolist()
+        [p00, p01], [p10, p11] = phi
         x0, x1 = x.tolist()
-        for w0, w1 in zip(rows, rows):
+        for w0, w1 in zip(forcing, forcing):
             x0, x1 = w0 + (p00 * x0 + p01 * x1), w1 + (p10 * x0 + p11 * x1)
             out += x0, x1
     elif n == 3:
-        [p00, p01, p02], [p10, p11, p12], [p20, p21, p22] = phi.tolist()
+        [p00, p01, p02], [p10, p11, p12], [p20, p21, p22] = phi
         x0, x1, x2 = x.tolist()
-        for w0, w1, w2 in zip(rows, rows, rows):
+        for w0, w1, w2 in zip(forcing, forcing, forcing):
             x0, x1, x2 = (w0 + (p00 * x0 + p01 * x1 + p02 * x2),
                           w1 + (p10 * x0 + p11 * x1 + p12 * x2),
                           w2 + (p20 * x0 + p21 * x1 + p22 * x2))
             out += x0, x1, x2
-    return np.array(out).reshape(w.shape)
+    flat[:] = out
+    return w
 
 
 class _Propagator(NamedTuple):
     """One-step propagators for one timestep value: a step is
     ``x' = phi @ x + gain @ b`` for its stacked source vector ``b``,
     summed over the ``(column, gain column)`` terms when the source has
-    a row layout (see :func:`_forcing`)."""
+    a row layout (see :func:`_forcing`).  ``phi_floats`` is ``phi`` as
+    nested Python floats up to :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns
+    (see :func:`_float_steps`), else None."""
 
     phi: np.ndarray
     gain: np.ndarray
     terms: Optional[tuple]
+    phi_floats: Optional[list]
 
 
 def _propagator(phi, gain, cols) -> _Propagator:
@@ -365,7 +370,8 @@ def _propagator(phi, gain, cols) -> _Propagator:
     are the stacked source columns ``cols`` (every column when None)."""
     terms = None if cols is None else tuple(
         (col, np.ascontiguousarray(g)) for col, g in zip(cols, gain.T))
-    return _Propagator(np.ascontiguousarray(phi), gain, terms)
+    floats = phi.tolist() if len(phi) <= FLOAT_STEP_MAX_UNKNOWNS else None
+    return _Propagator(np.ascontiguousarray(phi), gain, terms, floats)
 
 
 class _SuperLU(NamedTuple):
@@ -504,8 +510,8 @@ class _CachedStepper:
                 rhs = M @ x
                 rhs += b[k]
                 x = states[k] = solve(rhs)
-        elif len(x) <= FLOAT_STEP_MAX_UNKNOWNS:
-            states = _float_steps(fac.phi, x, _forcing(b, fac))
+        elif fac.phi_floats is not None:
+            states = _float_steps(fac.phi_floats, x, _forcing(b, fac))
         else:
             states = _forcing(b, fac)
             phi = fac.phi
