@@ -61,8 +61,8 @@ SPARSE_AUTO_THRESHOLD = 150
 #: outweighs the arithmetic.  Per step on 1,000-step RC-ladder windows
 #: (best of 7, 2-vCPU Xeon VM, NumPy 2.4), NumPy loop against float
 #: loop: 1.77/0.14 us at 1 unknown, 1.19/0.44 at 3, 1.21/0.65 at 4 and
-#: 1.23/1.16 at 6.  At 4 the ADSL model's LSF filters would save little
-#: and their states would move in the last place.
+#: 1.23/1.16 at 6.  At 4 the ADSL model's LSF filters would take the
+#: loop too, and their states would move in the last place.
 FLOAT_STEP_MAX_UNKNOWNS = 3
 
 #: Per-stepper LRU capacity of the ``h``-keyed factorization cache.
