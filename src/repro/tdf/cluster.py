@@ -479,7 +479,7 @@ class TdfCluster:
             self._m_sync_out.inc(
                 sum(len(c._queue) for c in self._de_outputs))
         for converter in self._de_outputs:
-            converter.flush(base)
+            converter.flush(base, base + n * self.period.ticks)
         self.period_count += n
         if telemetry is not None:
             elapsed = _time.perf_counter() - start

@@ -252,6 +252,9 @@ class TdfDeOut:
         self.rate = rate
         #: per-period queue of (offset_ticks, value), filled by write().
         self._queue: list[tuple[int, object]] = []
+        #: queued samples due at or after the next period start, in
+        #: cluster-local ticks, kept for the flush of their own period.
+        self._later: list[tuple[int, object]] = []
         self._ready = Event(f"{name}.samples_ready")
 
     def bind(self, signal) -> None:
@@ -311,16 +314,23 @@ class TdfDeOut:
         process = Process(f"{self.full_name()}.writer", THREAD, writer)
         kernel.register_process(process)
 
-    def flush(self, period_base_ticks: int) -> None:
+    def flush(self, period_base_ticks: int, next_base_ticks: int) -> None:
         """Signal the writer thread that a period's samples are queued.
 
-        ``period_base_ticks`` is the cluster-local time of the period
-        start; queued absolute offsets are rebased so the writer thread
-        replays them relative to the current kernel time.
+        ``period_base_ticks`` and ``next_base_ticks`` are the
+        cluster-local times of this period's start and of the next
+        one's.  Samples due before the next start are rebased so the
+        writer thread replays them relative to the current kernel time.
+        Later ones (a ``write_at`` past the period, such as a pipelined
+        crossing) wait for the flush of the period they fall in: the
+        writer never sleeps past the next start, so it is parked on the
+        next notification when that comes.
         """
-        if self._queue:
-            self._queue = [
-                (offset - period_base_ticks, value)
-                for offset, value in self._queue
-            ]
+        due, later = [], []
+        for item in self._later + self._queue:
+            (later if item[0] >= next_base_ticks else due).append(item)
+        self._later = later
+        self._queue = [(offset - period_base_ticks, value)
+                       for offset, value in due]
+        if due:
             self._ready.notify()

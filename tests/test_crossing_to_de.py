@@ -11,7 +11,7 @@ from repro.core import (
     Simulator,
     SynchronizationError,
 )
-from repro.lib import SineSource
+from repro.lib import SineSource, TdfSink
 from repro.sync import CrossingToDe
 from repro.tdf import TdfSignal
 
@@ -21,8 +21,12 @@ def us(x):
 
 
 def build(direction="rising", threshold=0.0, frequency=1e3,
-          timestep_us=37):
-    """A sine sampled coarsely (odd step so crossings are sub-sample)."""
+          timestep_us=37, sink_rate=None):
+    """A sine sampled coarsely (odd step so crossings are sub-sample).
+
+    With ``sink_rate``, a sink of that rate also reads the sine, so a
+    cluster period holds ``sink_rate`` activations of the detector.
+    """
 
     class Top(Module):
         def __init__(self):
@@ -37,13 +41,19 @@ def build(direction="rising", threshold=0.0, frequency=1e3,
             sig = TdfSignal("s")
             self.src.out(sig)
             self.det.inp(sig)
+            if sink_rate is not None:
+                self.sink = TdfSink("sink", parent=self, rate=sink_rate)
+                self.sink.inp(sig)
             self.edge_times = []
+            self.edge_ticks = []
             self.method(self._capture,
                         sensitivity=[self.level],
                         dont_initialize=True)
 
         def _capture(self):
-            self.edge_times.append(Kernel.current().now_ticks * 1e-15)
+            ticks = Kernel.current().now_ticks
+            self.edge_ticks.append(ticks)
+            self.edge_times.append(ticks * 1e-15)
 
     return Top()
 
@@ -115,3 +125,22 @@ class TestCrossingToDe:
         # first falling crossing writes False onto an already-False
         # signal, so it produces crossings-1 visible transitions.
         assert len(top.edge_times) >= len(top.det.crossings) - 1
+
+    @pytest.mark.parametrize("sink_rate", [None, 4])
+    def test_transitions_land_at_their_due_ticks(self, sink_rate):
+        """A crossing's transition is due one cluster period after it,
+        also when that lies past the next period start (four detector
+        activations per period): it is held for that period, not
+        moved onto a period boundary."""
+        top = build(direction="either", frequency=3e3,
+                    sink_rate=sink_rate)
+        end = SimTime(2100, "us")
+        Simulator(top).run(end)
+        period_ticks = top.det._cluster.period.ticks
+        due = [round(t_cross / 1e-15) + period_ticks
+               for t_cross in top.det.crossings]
+        due = [ticks for ticks in due if ticks <= end.ticks]
+        assert len(due) >= 10
+        # The first crossing falls and writes False onto the initial
+        # False; the levels alternate after it.
+        assert top.edge_ticks == due[1:]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     ElaborationError,
+    Kernel,
     Module,
     SchedulingError,
     Signal,
@@ -413,6 +414,43 @@ class TestDeConverters:
         assert chan.value_at(us(3)) == 1.0
         assert chan.value_at(us(5)) == 2.0
         assert chan.value_at(us(7)) == 3.0
+
+    def test_write_at_past_the_period_arrives_on_time(self):
+        """Each value is due 25 us after its 10 us activation, so it is
+        queued two periods ahead of the period it falls in."""
+
+        class Late(TdfModule):
+            def __init__(self, name, parent=None):
+                super().__init__(name, parent)
+                self.out = TdfDeOut("out")
+
+            def set_attributes(self):
+                self.set_timestep(us(10))
+
+            def processing(self):
+                if self.activation_count < 6:
+                    self.out.write_at(
+                        self.local_time.ticks + us(25).ticks,
+                        self.activation_count)
+
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.de_sig = Signal("de", initial=-1)
+                self.conv = Late("conv", self)
+                self.conv.out(self.de_sig)
+                self.changes = []
+                self.method(self.capture, sensitivity=[self.de_sig],
+                            dont_initialize=True)
+
+            def capture(self):
+                self.changes.append((Kernel.current().now_ticks,
+                                     self.de_sig.read()))
+
+        top = Top()
+        Simulator(top).run(us(100))
+        assert top.changes == [(us(25 + 10 * k).ticks, k)
+                               for k in range(6)]
 
     def test_de_to_tdf_sampling(self):
         class FromDe(TdfModule):
