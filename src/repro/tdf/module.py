@@ -282,10 +282,27 @@ class TdfDeOut:
         """Queue a value at an explicit cluster-local time (in ticks).
 
         Used for sub-sample event timing (e.g. interpolated threshold
-        crossings): the time need not align with any sample instant,
-        only lie within the current cluster period.
+        crossings): the time need not align with any sample instant.
+        A time after the current cluster period is replayed in the
+        period it falls in.  A time before the current period's start
+        has passed on the kernel and raises
+        :class:`SynchronizationError`.
         """
-        self._queue.append((int(local_ticks), value))
+        local_ticks = int(local_ticks)
+        cluster = self.module._cluster if self.module else None
+        if cluster is None or cluster.period is None:
+            raise SynchronizationError(
+                f"converter port {self.full_name()!r} used before "
+                "cluster elaboration"
+            )
+        start = cluster.period_count * cluster.period.ticks
+        if local_ticks < start:
+            raise SynchronizationError(
+                f"converter port {self.full_name()!r}: write_at "
+                f"{SimTime.from_ticks(local_ticks)} lies before the "
+                f"current period start {SimTime.from_ticks(start)}"
+            )
+        self._queue.append((local_ticks, value))
 
     def full_name(self) -> str:
         owner = self.module.full_name() if self.module else "?"

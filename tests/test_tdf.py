@@ -12,6 +12,7 @@ from repro.core import (
     Signal,
     SimTime,
     Simulator,
+    SynchronizationError,
     Trace,
 )
 from repro.tdf import TdfDeIn, TdfDeOut, TdfIn, TdfModule, TdfOut, TdfSignal
@@ -451,6 +452,34 @@ class TestDeConverters:
         Simulator(top).run(us(100))
         assert top.changes == [(us(25 + 10 * k).ticks, k)
                                for k in range(6)]
+
+    def test_write_at_before_the_period_start_is_rejected(self):
+        class Early(TdfModule):
+            def __init__(self, name, parent=None):
+                super().__init__(name, parent)
+                self.out = TdfDeOut("out")
+
+            def set_attributes(self):
+                self.set_timestep(us(10))
+
+            def processing(self):
+                if self.activation_count == 1:
+                    self.out.write_at(us(5).ticks, 1.0)
+
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.de_sig = Signal("de", initial=0.0)
+                self.conv = Early("conv", self)
+                self.conv.out(self.de_sig)
+
+        top = Top()
+        with pytest.raises(SynchronizationError) as error:
+            Simulator(top).run(us(30))
+        message = str(error.value)
+        assert "top.conv.out" in message
+        assert "5 us" in message and "10 us" in message
+        assert top.de_sig.read() == 0.0
 
     def test_de_to_tdf_sampling(self):
         class FromDe(TdfModule):
