@@ -112,6 +112,18 @@ class DspToneGenerator(TdfModule):
             value = 0.0
         self.out.write(value)
 
+    def processing_block(self, n):
+        # The enable input is latched once per cluster period, and a
+        # cluster with a converter input runs one period per wake, so
+        # one branch serves the whole block.
+        if self.enable.read():
+            t = self.activation_times(n)
+            self.out.write_block(self.config.tone_amplitude * np.sin(
+                2 * np.pi * self.config.tone_frequency * t
+            ))
+        else:
+            self.out.write_block(np.zeros(n))
+
 
 class LevelMeter(TdfModule):
     """The DSP block's receive side: exponential RMS level estimate,
@@ -404,6 +416,9 @@ class _RegisterToTdf(TdfModule):
 
     def processing(self):
         self.out.write(float(self.de_in.read()))
+
+    def processing_block(self, n):
+        self.out.write_block(np.full(n, float(self.de_in.read())))
 
 
 def default_software_program(system: AdslSystem):

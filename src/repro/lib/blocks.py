@@ -240,6 +240,33 @@ class Comparator(TdfModule):
         if self.de_out is not None:
             self.de_out.write(self._state)
 
+    def processing_block(self, n):
+        high, low = self.high, self.low
+        if not (self.inp.block_readable() and type(high) is float
+                and type(low) is float):
+            # Raw payloads and non-float levels (a scalar int write
+            # demotes the output stream) keep the scalar path.
+            self._scalar_fallback(n)
+            return
+        offset = self.offset
+        half = self.hysteresis / 2.0
+        upper = self.threshold + half
+        lower = self.threshold - half
+        state = self._state
+        states = []
+        for sample in self.inp.read_block(n).tolist():
+            value = sample + offset
+            if state:
+                if value < lower:
+                    state = False
+            elif value > upper:
+                state = True
+            states.append(state)
+        self._state = state
+        self.out.write_block([high if state else low for state in states])
+        if self.de_out is not None:
+            self.de_out.write_block(states)
+
     def checkpoint_state(self):
         return {"state": self._state}
 

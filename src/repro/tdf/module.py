@@ -17,6 +17,7 @@ Converter ports bridge the DE kernel:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -30,6 +31,9 @@ from .signal import TdfIn, TdfOut, TdfPortBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import TdfCluster
+
+#: the time of a queued ``(offset_ticks, value)`` converter sample
+_offset = itemgetter(0)
 
 
 class TdfModule(Module):
@@ -243,6 +247,13 @@ class TdfDeOut:
 
     Samples written during a cluster period are replayed onto the DE
     signal at their sample times by a dedicated writer thread.
+
+    The port must be its signal's only driver, as a :class:`Signal` is
+    single-driver.  The signal then holds, at each sample's instant, the
+    last sample replayed, and a sample equal to it (``!=``, the test a
+    signal update applies) would change nothing and notify nothing:
+    such samples are not replayed, so the kernel visits only the
+    instants where the signal changes.
     """
 
     def __init__(self, name: str, rate: int = 1):
@@ -250,7 +261,8 @@ class TdfDeOut:
         self.module: Optional[TdfModule] = None
         self.port: OutPort = OutPort(f"{name}.de")
         self.rate = rate
-        #: per-period queue of (offset_ticks, value), filled by write().
+        #: per-period queue of (offset_ticks, value), filled by write();
+        #: after a flush, the changes the writer thread replays.
         self._queue: list[tuple[int, object]] = []
         #: queued samples due at or after the next period start, in
         #: cluster-local ticks, kept for the flush of their own period.
@@ -262,21 +274,43 @@ class TdfDeOut:
 
     __call__ = bind
 
-    def write(self, value, sample: int = 0) -> None:
+    def _timestep_ticks(self) -> int:
         if self.module is None or self.module.timestep is None:
             raise SynchronizationError(
                 f"converter port {self.full_name()!r} used before "
                 "cluster elaboration"
             )
+        return self.module.timestep.ticks
+
+    def write(self, value, sample: int = 0) -> None:
+        timestep = self._timestep_ticks()
         if not 0 <= sample < self.rate:
             raise SynchronizationError(
                 f"sample index {sample} out of range for rate {self.rate} "
                 f"converter {self.full_name()!r}"
             )
-        step = self.module.timestep.ticks // self.rate
-        offset = (self.module._activation_index * self.module.timestep.ticks
-                  + sample * step)
+        offset = (self.module._activation_index * timestep
+                  + sample * (timestep // self.rate))
         self._queue.append((offset, value))
+
+    def write_block(self, values) -> None:
+        """Queue ``activations * rate`` samples for consecutive
+        activations, laid out activation-major: the same items, at the
+        same offsets, as repeated ``write(value, k)`` calls.  The items
+        of ``values`` are queued as they are."""
+        timestep = self._timestep_ticks()
+        rate = self.rate
+        if len(values) % rate:
+            raise SynchronizationError(
+                f"block write of {len(values)} samples is not a multiple "
+                f"of rate {rate} on converter {self.full_name()!r}"
+            )
+        step = timestep // rate
+        start = self.module._activation_index * timestep
+        self._queue += zip(
+            [start + index * timestep + k * step
+             for index in range(len(values) // rate) for k in range(rate)],
+            values)
 
     def write_at(self, local_ticks: int, value) -> None:
         """Queue a value at an explicit cluster-local time (in ticks).
@@ -317,10 +351,9 @@ class TdfDeOut:
         def writer():
             while True:
                 yield self._ready
-                batch, self._queue = self._queue, []
-                batch.sort(key=lambda item: item[0])
+                changes, self._queue = self._queue, []
                 elapsed = 0
-                for offset, value in batch:
+                for offset, value in changes:
                     if offset > elapsed:
                         yield SimTime.from_ticks(offset - elapsed)
                         elapsed = offset
@@ -332,22 +365,34 @@ class TdfDeOut:
         kernel.register_process(process)
 
     def flush(self, period_base_ticks: int, next_base_ticks: int) -> None:
-        """Signal the writer thread that a period's samples are queued.
+        """Hand the writer thread the changes a period's samples make.
 
         ``period_base_ticks`` and ``next_base_ticks`` are the
         cluster-local times of this period's start and of the next
-        one's.  Samples due before the next start are rebased so the
-        writer thread replays them relative to the current kernel time.
-        Later ones (a ``write_at`` past the period, such as a pipelined
-        crossing) wait for the flush of the period they fall in: the
-        writer never sleeps past the next start, so it is parked on the
-        next notification when that comes.
+        one's.  The samples due before the next start are taken in time
+        order, the last one queued at each instant, and each is compared
+        with the value the signal holds then: the last change kept, or
+        the signal's value now.  Those that differ are rebased to the
+        period start and the writer thread is woken to replay them; a
+        period without a change does not wake it.  Later samples (a
+        ``write_at`` past the period, such as a pipelined crossing) wait
+        for the flush of the period they fall in: the writer never
+        sleeps past the next start, so it is parked on the next
+        notification when that comes.
         """
-        due, later = [], []
-        for item in self._later + self._queue:
-            (later if item[0] >= next_base_ticks else due).append(item)
+        batch = self._later + self._queue if self._later else self._queue
+        if not batch:
+            return
+        batch.sort(key=_offset)
+        held = self.port.resolve().read()
+        changes, later = [], []
+        for offset, value in dict(batch).items():
+            if offset >= next_base_ticks:
+                later.append((offset, value))
+            elif value != held:
+                held = value
+                changes.append((offset - period_base_ticks, value))
         self._later = later
-        self._queue = [(offset - period_base_ticks, value)
-                       for offset, value in due]
-        if due:
+        self._queue = changes
+        if changes:
             self._ready.notify()

@@ -7,19 +7,23 @@ modes.  These tests cover the tier-1 model shapes: a TDF-heavy ADC
 chain, the bench_e4 pipelined-ADC testbench (shared RNG stream), the
 bench_e1 ADSL virtual prototype (DE-coupled clusters), multirate and
 mixed block/scalar clusters, feedback delay loops, a CT-embedding
-cluster, and object-mode (non-float payload) fallbacks.
+cluster, object-mode (non-float payload) fallbacks, and the modules
+that drive or sample DE signals through converter ports.
 """
 
 import numpy as np
 import pytest
 
-from repro.adsl import REG_HOOK_STATUS, REG_LINE_LEVEL, AdslSystem
-from repro.core import Module, SimTime, Simulator
+from repro.adsl import REG_HOOK_STATUS, REG_LINE_LEVEL, AdslConfig, AdslSystem
+from repro.adsl.system import DspToneGenerator, _RegisterToTdf
+from repro.core import Module, Signal, SimTime, Simulator
+from repro.core.process import METHOD, Process
 from repro.ct import LinearTransientSolver
 from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 from repro.lib import (
     Add2,
     CicDecimator,
+    Comparator,
     FirFilter,
     GaussianNoiseSource,
     IdealAdc,
@@ -653,3 +657,163 @@ def test_object_mode_payloads_preserved():
     assert [type(v) for v in ref.sink.samples] \
         == [type(v) for v in got.sink.samples]
     assert any(type(v) is int for v in got.sink.samples)
+
+
+# -- converter-port modules ----------------------------------------------------
+
+
+class OscillatingTokens(TdfModule):
+    """Writes -2, -1, 0, 1, 2, -2, ... as alternating int and float
+    payloads (an object-mode stream)."""
+
+    def __init__(self, name, parent=None):
+        super().__init__(name, parent)
+        self.out = TdfOut("out")
+
+    def set_attributes(self):
+        self.set_timestep(us(1))
+
+    def processing(self):
+        n = self.activation_count
+        value = n % 5 - 2
+        self.out.write(value if n % 2 else float(value))
+
+
+class ComparatorTop(Module):
+    """A sine (or object-mode tokens) into a comparator with hysteresis
+    and offset, read eight samples per cluster period."""
+
+    def __init__(self, de_output, levels, tokens):
+        super().__init__("cmp_top")
+        if tokens:
+            self.src = OscillatingTokens("src", parent=self)
+        else:
+            self.src = SineSource("src", 37e3, amplitude=1.0, parent=self,
+                                  timestep=us(1))
+        high, low = levels
+        self.cmp = Comparator("cmp", threshold=0.1, hysteresis=0.4,
+                              offset=0.05, high=high, low=low,
+                              de_output=de_output, parent=self)
+        self.sink = TdfSink("sink", parent=self, rate=8)
+        s_in, s_out = TdfSignal("s_in"), TdfSignal("s_out")
+        self.src.out(s_in)
+        self.cmp.inp(s_in)
+        self.cmp.out(s_out)
+        self.sink.inp(s_out)
+        self.de_signals = []
+        if de_output:
+            self.level = Signal("level", initial=False)
+            self.cmp.de_out(self.level)
+            self.de_signals.append(self.level)
+
+
+class BridgesTop(Module):
+    """The ADSL tone generator and register bridge, each read eight
+    samples per cluster period, with a thread that toggles the enable
+    and changes the register between period starts."""
+
+    def __init__(self):
+        super().__init__("bridges")
+        self.enable = Signal("enable", initial=0)
+        self.gain = Signal("gain", initial=-18)
+        self.tone = DspToneGenerator(
+            "tone", AdslConfig(tone_frequency=7812.5, tone_amplitude=0.55),
+            parent=self)
+        self.tone.enable(self.enable)
+        self.bridge = _RegisterToTdf("bridge", self.gain, parent=self)
+        self.bridge.out.set_timestep(us(1))
+        self.tone_sink = TdfSink("tone_sink", parent=self, rate=8)
+        self.gain_sink = TdfSink("gain_sink", parent=self, rate=8)
+        s_tone, s_gain = TdfSignal("s_tone"), TdfSignal("s_gain")
+        self.tone.out(s_tone)
+        self.tone_sink.inp(s_tone)
+        self.bridge.out(s_gain)
+        self.gain_sink.inp(s_gain)
+        self.de_signals = [self.enable, self.gain]
+        self.thread(self.stimulus)
+
+    def stimulus(self):
+        for wait, enable, gain in ((us(37), 1, -12), (us(50), 0, -6),
+                                   (us(41), 1, 3)):
+            yield wait
+            self.enable.write(enable)
+            self.gain.write(gain)
+
+
+def run_recorded(build, duration, block):
+    """Run ``build()`` and record every change of its ``de_signals`` as
+    ``(ticks, delta within the instant, signal, value)``."""
+    top = build()
+    sim = Simulator(top, tdf_block=block)
+    sim.elaborate()
+    kernel = sim.kernel
+    instant = [0]
+    kernel.add_time_callback(
+        lambda ticks: instant.__setitem__(0, kernel.delta_count))
+    changes = []
+    for signal in top.de_signals:
+        def record(signal=signal):
+            changes.append((kernel.now_ticks,
+                            kernel.delta_count - instant[0], signal.name,
+                            signal.read()))
+
+        kernel.register_process(Process(
+            f"record.{signal.name}", METHOD, record,
+            [signal.default_event()], dont_initialize=True))
+    sim.run(duration)
+    return top, changes
+
+
+def count_block_calls(monkeypatch, module_class):
+    """Count ``module_class.processing_block`` calls in a list."""
+    calls = []
+    original = module_class.processing_block
+
+    def counted(self, n):
+        calls.append(n)
+        original(self, n)
+
+    monkeypatch.setattr(module_class, "processing_block", counted)
+    return calls
+
+
+def assert_sinks_identical(ref, got):
+    """Samples with their payload types, and their times."""
+    assert repr(ref.samples) == repr(got.samples)
+    assert repr(ref.times) == repr(got.times)
+
+
+@pytest.mark.parametrize("de_output", [True, False])
+@pytest.mark.parametrize("levels,tokens", [
+    ((1.0, 0.0), False),
+    ((1, 0), False),       # int levels: the scalar fallback
+    ((1.0, -1.0), True),   # object-mode input: the scalar fallback
+])
+def test_comparator_bit_identical(monkeypatch, de_output, levels, tokens):
+    def build():
+        return ComparatorTop(de_output, levels, tokens)
+
+    ref, ref_changes = run_recorded(build, us(200), block=False)
+    calls = count_block_calls(monkeypatch, Comparator)
+    got, got_changes = run_recorded(build, us(200), block=True)
+    assert calls
+    assert_sinks_identical(ref.sink, got.sink)
+    assert repr(ref_changes) == repr(got_changes)
+    assert ref.cmp._state == got.cmp._state
+    if de_output:
+        assert len(got_changes) >= 10
+
+
+def test_tone_generator_and_register_bridge_bit_identical(monkeypatch):
+    ref, ref_changes = run_recorded(BridgesTop, us(200), block=False)
+    tone_calls = count_block_calls(monkeypatch, DspToneGenerator)
+    bridge_calls = count_block_calls(monkeypatch, _RegisterToTdf)
+    got, got_changes = run_recorded(BridgesTop, us(200), block=True)
+    assert tone_calls and bridge_calls
+    assert_sinks_identical(ref.tone_sink, got.tone_sink)
+    assert_sinks_identical(ref.gain_sink, got.gain_sink)
+    assert repr(ref_changes) == repr(got_changes)
+    # The enable and the register changed mid-run and reached the
+    # streams.
+    assert len(set(got.gain_sink.samples)) == 4
+    assert 0.0 in got.tone_sink.samples and max(got.tone_sink.samples) > 0.5

@@ -10,13 +10,23 @@ an equal value (``1`` over ``True``, ``-0.0`` over ``0.0``) notifies
 nothing and a NaN always differs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSignal, Module, Signal, SimTime, Simulator
+from repro.core import (
+    BitSignal,
+    Module,
+    Signal,
+    SimTime,
+    Simulator,
+    SynchronizationError,
+)
 from repro.core.process import METHOD, Process
 from repro.lib import TdfSink
 from repro.tdf import TdfDeOut, TdfModule, TdfOut, TdfSignal
+
+from .test_scheduling_digest import _wrap
 
 NAN = float("nan")
 #: bools, ints and floats that compare equal across types, and a NaN
@@ -159,3 +169,41 @@ def test_signal_changes_follow_the_stream(case):
         expected_changes(queued, period, 0, lambda value: value))
     assert repr(changes["bit"]) == repr(
         expected_changes(queued, period, False, bool))
+
+
+@pytest.mark.parametrize("timestep", [10, 7])
+def test_write_block_queues_what_scalar_writes_queue(timestep):
+    """At rate 2, also where the rate does not divide the timestep."""
+    top = StreamTop(timestep, 2, 1, [], {})
+    Simulator(top).elaborate()
+    writer, port = top.writer, top.writer.to_signal
+    values = [0.5, True, 2, -0.0, NAN, 1.0]
+    writer._activation_index = 3
+    port.write_block(values)
+    block, port._queue = port._queue, []
+    for index in range(3):
+        writer._activation_index = 3 + index
+        for k in range(2):
+            port.write(values[2 * index + k], k)
+    assert block == port._queue
+    expected = {10: [30, 35, 40, 45, 50, 55], 7: [21, 24, 28, 31, 35, 38]}
+    assert [offset for offset, _ in block] == expected[timestep]
+    with pytest.raises(SynchronizationError):
+        port.write_block(values[:3])
+
+
+def test_unchanged_samples_do_not_wake_the_writer():
+    """1,000 samples, ten per period, that change the signal three
+    times: the writer thread wakes for the changes, not per sample."""
+    stream = [0] * 250 + [1] * 250 + [2.5] * 250 + [0.0] * 250
+    top = StreamTop(10, 1, 10, stream, {})
+    sim = Simulator(top)
+    sim.elaborate()
+    record = []
+    for process in sim.kernel._processes:
+        process.func = _wrap(process, sim.kernel, record)
+    sim.run(SimTime.from_ticks(10 * len(stream)))
+    wakes = [entry for entry in record
+             if entry[2] == "top.writer.to_signal.writer"]
+    assert len(wakes) <= 103, len(wakes)
+    assert top.signal.read() == 0.0 and type(top.signal.read()) is float
