@@ -288,9 +288,9 @@ DE_PIN = {
 #: SHA-256 digests of the reference scheduling of each model.
 GOLDEN = {
     "adsl-seed-1":
-        "7a42270f6742a8cd8013685198ab3709567ae66699536ba8bccb89c9901fd396",
+        "954e71f170dffc4e0f04a15fc44a82d45f67eb1c9ae810fea2f3a461de32509a",
     "adsl-seed-2":
-        "931ef44da10d584af7f54211668c9162be0d19970b0dc82acb04f5936dde8b0d",
+        "871bc4959a6161411ecf4d635c26e35e807bb182631ecbf5ab447fd3468f9df4",
     "rtl-fsm":
         "027ed1243174f8ed6d1a8eaf5b1820b31eee198909c1d5d5840f713909560a40",
 }
