@@ -17,7 +17,6 @@ Converter ports bridge the DE kernel:
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -31,9 +30,6 @@ from .signal import TdfIn, TdfOut, TdfPortBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import TdfCluster
-
-#: the time of a queued ``(offset_ticks, value)`` converter sample
-_offset = itemgetter(0)
 
 
 class TdfModule(Module):
@@ -380,13 +376,11 @@ class TdfDeOut:
         sleeps past the next start, so it is parked on the next
         notification when that comes.
         """
-        batch = self._later + self._queue if self._later else self._queue
-        if not batch:
-            return
-        batch.sort(key=_offset)
+        # One entry per instant, the last one queued, in time order.
+        batch = sorted(dict(self._later + self._queue).items())
         held = self.port.resolve().read()
         changes, later = [], []
-        for offset, value in dict(batch).items():
+        for offset, value in batch:
             if offset >= next_base_ticks:
                 later.append((offset, value))
             elif value != held:
