@@ -263,7 +263,7 @@ class Comparator(TdfModule):
                 state = True
             states.append(state)
         self._state = state
-        self.out.write_block([high if state else low for state in states])
+        self.out.write_block([high if on else low for on in states])
         if self.de_out is not None:
             self.de_out.write_block(states)
 
