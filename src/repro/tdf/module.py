@@ -376,6 +376,8 @@ class TdfDeOut:
         sleeps past the next start, so it is parked on the next
         notification when that comes.
         """
+        if not (self._queue or self._later):
+            return
         # One entry per instant, the last one queued, in time order.
         batch = sorted(dict(self._later + self._queue).items())
         held = self.port.resolve().read()

@@ -207,3 +207,33 @@ def test_unchanged_samples_do_not_wake_the_writer():
              if entry[2] == "top.writer.to_signal.writer"]
     assert len(wakes) <= 103, len(wakes)
     assert top.signal.read() == 0.0 and type(top.signal.read()) is float
+
+
+def test_port_that_queues_nothing_is_not_resolved():
+    """A flush with nothing queued leaves the port alone, so an unbound
+    converter port that is never written does not stop a run."""
+
+    class Silent(TdfModule):
+        def __init__(self, name, parent):
+            super().__init__(name, parent)
+            self.out = TdfOut("out")
+            self.de_out = TdfDeOut("de_out")
+
+        def set_attributes(self):
+            self.set_timestep(SimTime(1, "us"))
+
+        def processing(self):
+            self.out.write(0.0)
+
+    class Top(Module):
+        def __init__(self):
+            super().__init__("top")
+            self.silent = Silent("silent", self)
+            self.sink = TdfSink("sink", parent=self)
+            samples = TdfSignal("samples")
+            self.silent.out(samples)
+            self.sink.inp(samples)
+
+    top = Top()
+    Simulator(top).run(SimTime(10, "us"))
+    assert len(top.sink.samples) == 11
