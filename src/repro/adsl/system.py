@@ -159,6 +159,14 @@ class LevelMeter(TdfModule):
     def rms(self) -> float:
         return float(np.sqrt(self._mean_square))
 
+    def checkpoint_state(self):
+        return {"mean_square": self._mean_square,
+                "samples": list(self.samples)}
+
+    def restore_state(self, data) -> None:
+        self._mean_square = data["mean_square"]
+        self.samples = list(data["samples"])
+
 
 def build_line_network(config: AdslConfig) -> Network:
     """Protection network + 2-segment subscriber-line ladder +

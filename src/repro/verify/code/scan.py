@@ -53,6 +53,7 @@ from typing import (
     Union,
 )
 
+from ...sync.ct_modules import CtTdfModule
 from ...tdf.module import TdfModule
 
 #: Lifecycle methods analyzed on every TDF module class, in the order
@@ -65,6 +66,12 @@ LIFECYCLE_METHODS = (
     "processing",
     "processing_block",
 )
+
+#: Modules of the framework's TDF module classes: the TDF base class and
+#: the CT synchronization layer, whose lockstep telemetry and
+#: bookkeeping never reach model behaviour.
+_FRAMEWORK_MODULES = frozenset({TdfModule.__module__,
+                                CtTdfModule.__module__})
 
 #: Methods whose body runs once per activation (the paper's
 #: "side-effect-free processing between cluster activations").
@@ -410,8 +417,9 @@ class ModuleScan:
     ``instances`` lists every live module of that class in the verified
     hierarchy (diagnostics anchor to the first one); ``methods`` maps
     lifecycle-method names to scans of the *defining* function, wherever
-    in the MRO it lives — but framework base implementations
-    (:class:`~repro.tdf.module.TdfModule` itself) are never analyzed.
+    in the MRO it lives — but framework implementations (those of
+    :class:`~repro.tdf.module.TdfModule` and of the CT synchronization
+    layer's classes) are never analyzed; a subclass's own overrides are.
     """
 
     def __init__(self, cls: type, instances: List[TdfModule]):
@@ -422,9 +430,7 @@ class ModuleScan:
         self.helpers: Dict[str, List[ScannedFunction]] = {}
         for name in LIFECYCLE_METHODS:
             fn = getattr(cls, name, None)
-            base = getattr(TdfModule, name, None)
-            if fn is None or getattr(fn, "__func__", fn) is \
-                    getattr(base, "__func__", base):
+            if fn is None or _framework(fn):
                 continue  # not overridden: framework code, skip
             scan = scan_function(fn, name)
             if scan is None:
@@ -458,7 +464,8 @@ class ModuleScan:
                 continue
             fn = getattr(self.cls, attr, None)
             if not (inspect.isfunction(fn)
-                    and getattr(TdfModule, attr, None) is None):
+                    and getattr(TdfModule, attr, None) is None) \
+                    or _framework(fn):
                 continue  # framework API / not a plain def
             seen.add(attr)
             targets.append((attr, fn))
@@ -544,6 +551,11 @@ class ModuleScan:
             if scan is not None:
                 covered |= scan.index.self_reads
         return covered
+
+
+def _framework(fn: Callable) -> bool:
+    """True for a method a framework class defines."""
+    return getattr(fn, "__module__", None) in _FRAMEWORK_MODULES
 
 
 def module_scans(ctx) -> List[ModuleScan]:

@@ -548,6 +548,71 @@ def test_seed_models_lint_clean(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the CT synchronization layer is framework code; its subclasses are not
+# ---------------------------------------------------------------------------
+
+def test_adsl_lints_clean(tmp_path):
+    """The paper's Figure 1 model: the CT modules' lockstep telemetry
+    (wall-clock timing of each solver advance) is not model code."""
+    builder = tmp_path / "adsl_builder.py"
+    builder.write_text(textwrap.dedent("""\
+        from repro.adsl import AdslSystem
+
+
+        def build():
+            return AdslSystem()
+        """))
+    assert verify_main(
+        [f"{builder}::build", "--select", "CODE", "--strict"]) == 0
+
+
+def test_adsl_runs_under_verify_error():
+    from repro.adsl import AdslSystem
+    from repro.core import Simulator
+
+    top = AdslSystem()
+    simulator = Simulator(top, verify="error")
+    simulator.run(SimTime(100, "us"))
+    assert simulator.verification_report.ok
+    assert top.smoothing.activation_count > 0
+
+
+def test_ct_subclass_override_is_model_code(tmp_path, capsys):
+    model = _write_model(tmp_path, """\
+        from repro.lsf import LsfGain, LsfNetwork, LsfSource
+        from repro.sync import LsfTdfModule
+
+
+        def _network():
+            lsf = LsfNetwork()
+            u, y = lsf.signal("u"), lsf.signal("y")
+            lsf.add(LsfSource("src", u))
+            lsf.add(LsfGain("k", u, y, 2.0))
+            return lsf, u, y
+
+
+        class TimedGain(LsfTdfModule):
+            def __init__(self, name="bad", parent=None):
+                lsf, u, y = _network()
+                super().__init__(name, lsf, parent)
+                self.drive(u)
+                self.sample(y)
+
+            def set_attributes(self):
+                self.set_timestep(SimTime(1, "us"))
+
+            def processing(self):
+                self.started = time.perf_counter()  # BAD
+                super().processing()
+        """, stem="timed_gain")
+    exit_code, payload = _lint(capsys, model)
+    hits = [d for d in _diagnostics(payload) if d["rule"] == "CODE002"]
+    assert exit_code == 1
+    assert [d["line"] for d in hits] == [_bad_line(model)]
+    assert all(d["file"].endswith("timed_gain.py") for d in hits)
+
+
+# ---------------------------------------------------------------------------
 # code fingerprint and the campaign cache key
 # ---------------------------------------------------------------------------
 
