@@ -38,7 +38,7 @@ from repro.lib import (
     butterworth_lowpass_sections,
     fir_lowpass,
 )
-from repro.lsf import LsfLtfNd, LsfNetwork, LsfSource
+from repro.lsf import LsfAdd, LsfLtfNd, LsfNetwork, LsfSource
 from repro.sync import ElnTdfModule, LsfTdfModule
 from repro.tdf import TdfIn, TdfModule, TdfOut, TdfSignal
 
@@ -597,6 +597,127 @@ def test_sigma_delta_chain_cross_mode_resume(sd_chain, head_block):
     tail_sim.run(us(2047))
     assert_bytes_equal(reference.sink, tail_top.sink)
     assert_converter_state_equal(reference, tail_top)
+
+
+def _wobble(t):
+    return 1e-4 * np.sin(2 * np.pi * 7e3 * t)
+
+
+class MixedSourceTop(Module):
+    """Two sines drive a CT module whose source rows hold every kind the
+    window replays: TDF-driven inputs, a constant ``int`` equal to a
+    valid input slot, a constant float and a callable waveform.
+
+    ``dense``: an ELN DAE, sampled at a node, a node difference and a
+    source current.  ``expm`` needs an invertible C, so its network is
+    driven by current sources only.  ``lsf``: a signal-flow sum into a
+    low-pass, where the constants stay plain numbers in the rows.
+    """
+
+    def __init__(self, kind, oversample, method):
+        super().__init__("mixed_top")
+        options = dict(parent=self, oversample=oversample, method=method)
+        if kind == "lsf":
+            lsf = LsfNetwork()
+            u, a, k, f, c, total, y = (
+                lsf.signal(name) for name in "uakfcsy")
+            lsf.add(LsfSource("u", u))
+            lsf.add(LsfSource("a", a))
+            lsf.add(LsfSource("k", k, 1))
+            lsf.add(LsfSource("f", f, 0.25))
+            lsf.add(LsfSource("c", c, _wobble))
+            lsf.add(LsfAdd("sum", [u, a, k, f, c], total,
+                           weights=[1.0, 1e3, 1.0, 1.0, 1e3]))
+            lsf.add(LsfLtfNd("lp", total, y, num=[1.0],
+                             den=[1.0, 4.5e-6, 1e-11]))
+            self.ct = LsfTdfModule("ct", lsf, **options)
+            inputs = [self.ct.drive(u, initial=0.1), self.ct.drive(a)]
+            outputs = [self.ct.sample(y), self.ct.sample(total)]
+        elif kind == "expm":
+            net = Network("mixed_expm")
+            net.add(Isource("Iin", "n1", "0"))
+            net.add(Isource("Iaux", "n2", "0"))
+            net.add(Isource("Ik", "n2", "0", 1))
+            net.add(Isource("If", "n1", "0", -0.25))
+            net.add(Isource("Ic", "n2", "0", _wobble))
+            net.add(Capacitor("C1", "n1", "0", 1e-6))
+            net.add(Capacitor("C2", "n2", "0", 2e-6))
+            net.add(Resistor("R1", "n1", "0", 1.0))
+            net.add(Resistor("R2", "n1", "n2", 2.0))
+            self.ct = ElnTdfModule("ct", net, solver_variant="expm",
+                                   **options)
+            inputs = [self.ct.drive_current("Iin", initial=0.1),
+                      self.ct.drive_current("Iaux")]
+            outputs = [self.ct.sample_voltage("n2"),
+                       self.ct.sample_voltage("n1", reference="n2")]
+        else:
+            net = Network("mixed_dense")
+            net.add(Vsource("Vin", "in", "0"))
+            net.add(Isource("Iaux", "out", "0"))
+            net.add(Vsource("Vk", "k", "0", 1))
+            net.add(Vsource("Vf", "f", "0", 0.25))
+            net.add(Isource("Ic", "mid", "0", _wobble))
+            net.add(Resistor("R1", "in", "mid", 1e3))
+            net.add(Capacitor("C1", "mid", "0", 1e-9))
+            net.add(Resistor("R2", "mid", "out", 2e3))
+            net.add(Capacitor("C2", "out", "0", 0.5e-9))
+            net.add(Resistor("R3", "k", "out", 4e3))
+            net.add(Resistor("R4", "f", "mid", 3e3))
+            self.ct = ElnTdfModule("ct", net, solver_variant="dense",
+                                   **options)
+            inputs = [self.ct.drive_voltage("Vin", initial=0.1),
+                      self.ct.drive_current("Iaux")]
+            outputs = [self.ct.sample_voltage("out"),
+                       self.ct.sample_voltage("mid", reference="out"),
+                       self.ct.sample_current("Vk")]
+        for index, (port, frequency, amplitude) in enumerate(
+                zip(inputs, (23e3, 46e3), (0.7, 0.7e-3))):
+            signal = TdfSignal(f"s_in{index}")
+            source = SineSource(f"src{index}", frequency,
+                                amplitude=amplitude, parent=self,
+                                timestep=us(1))
+            source.out(signal)
+            port(signal)
+        self.sinks = []
+        for index, port in enumerate(outputs):
+            signal = TdfSignal(f"s_out{index}")
+            sink = TdfSink(f"sink{index}", parent=self)
+            port(signal)
+            sink.inp(signal)
+            self.sinks.append(sink)
+
+
+@pytest.mark.parametrize("kind,oversample,method", [
+    (kind, oversample, method)
+    for kind in ("dense", "lsf", "expm")
+    for oversample in (1, 3)
+    for method in ("trapezoidal", "backward_euler")
+    if kind != "expm" or method == "trapezoidal"  # expm ignores it
+])
+def test_window_replays_every_source_kind(monkeypatch, kind, oversample,
+                                          method):
+    """Scalar and block runs agree byte for byte whatever drives the
+    source rows, and the block run steps only through windows."""
+    def run(block):
+        top = MixedSourceTop(kind, oversample, method)
+        sim = Simulator(top, tdf_block=block, tdf_batch=16)
+        sim.run(us(300))
+        return top, _solver_counters(sim)
+
+    reference, ref_counters = run(False)
+
+    def scalar_advance(self, t):
+        raise AssertionError(f"per-activation advance_to({t})")
+
+    monkeypatch.setattr(LinearTransientSolver, "advance_to",
+                        scalar_advance)
+    got, counters = run(True)
+    assert len(got.sinks) == (3 if kind == "dense" else 2)
+    for ref_sink, got_sink in zip(reference.sinks, got.sinks):
+        assert len(got_sink.samples) == 301
+        assert_bytes_equal(ref_sink, got_sink)
+    assert counters == ref_counters
+    assert counters["solver.steps"] == oversample * 300
 
 
 def test_oversampled_block_run_takes_the_window_path(monkeypatch):

@@ -221,6 +221,53 @@ class TestElnTdf:
         # Output still correct after gating.
         assert top.rec.samples[-1] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("block", [False, True],
+                             ids=["scalar", "block"])
+    def test_gated_resilient_module(self, block):
+        """A skipped activation moves solver time without a step, a
+        health check or a tier record; block runs match scalar ones
+        byte for byte."""
+
+        class Top(Module):
+            def __init__(self):
+                super().__init__("top")
+                self.s_in = TdfSignal("s_in")
+                self.s_out = TdfSignal("s_out")
+                self.src = StepSource("src", self, timestep=us(10))
+                self.rc = ElnTdfModule("rc", rc_network(), parent=self,
+                                       resilient=True)
+                self.rc.enable_gating(tolerance=1e-9)
+                self.rec = Recorder("rec", self)
+                self.src.out(self.s_in)
+                self.rc.drive_voltage("Vin")(self.s_in)
+                self.rc.sample_voltage("out")(self.s_out)
+                self.rec.inp(self.s_out)
+
+        def run(tdf_block):
+            top = Top()
+            sim = Simulator(top, tdf_block=tdf_block)
+            sim.run(SimTime(20, "ms"))
+            return top, sim.metrics_snapshot()
+
+        top, snapshot = run(block)
+        assert top.rc.activation_count == 2001
+        assert snapshot["ct.skipped_activations"] == 387
+        # one initialization, one consistency snap, then a check per
+        # accepted step and per interval
+        assert snapshot["health.checked_steps"] == 3228
+        assert snapshot["solver.steps"] == 1613
+        assert snapshot["resilience.tier.primary"] == 1613
+        assert top.rec.samples[-1] == pytest.approx(1.0, abs=1e-3)
+        if block:
+            reference, ref_snapshot = run(False)
+            assert np.asarray(top.rec.samples).tobytes() \
+                == np.asarray(reference.rec.samples).tobytes()
+            ct_keys = ("solver.", "health.", "resilience.", "ct.")
+            assert {k: v for k, v in snapshot.items()
+                    if k.startswith(ct_keys)} \
+                == {k: v for k, v in ref_snapshot.items()
+                    if k.startswith(ct_keys)}
+
 
 class OversampledRcTop(Module):
     """A 1 us sine into an RC front end with ``oversample=2``, like the
