@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import math
 import warnings
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -113,10 +113,11 @@ def substep_counts(t_prev, t, h_internal: float):
     adds at least four ULPs of the larger absolute time on top of the
     1e-12.
 
-    Elementwise, so it takes floats or arrays alike: the TDF window
-    path expands a block of synchronization intervals with exactly the
-    counts :meth:`LinearTransientSolver.advance_to` uses one interval
-    at a time.
+    Elementwise, so it takes floats or arrays alike:
+    :meth:`LinearTransientSolver.plan` expands a window of
+    synchronization intervals with exactly the counts
+    :meth:`LinearTransientSolver.advance_to` uses one interval at a
+    time.
     """
     interval = t - t_prev
     # eps * |x| bounds the ULP of x from above
@@ -135,8 +136,8 @@ def tick_interval(t_prev, t):
     :func:`substep_counts` bound) of a whole number of ticks is
     returned as exactly ``ticks * FEMTO``; any other interval, such as
     a standalone 1/3 us, unchanged.  Takes floats or arrays, with the
-    same operations elementwise, so the TDF window path and
-    :meth:`LinearTransientSolver.advance_to` agree bit for bit.
+    same operations elementwise, so :meth:`LinearTransientSolver.plan`
+    and :meth:`LinearTransientSolver.advance_to` agree bit for bit.
     """
     interval = t - t_prev
     bound = 4.0 * _EPS * (abs(t) + abs(t_prev))
@@ -150,6 +151,25 @@ def tick_interval(t_prev, t):
     snapped = ticks * FEMTO
     return np.where((ticks >= 1) & (abs(interval - snapped) <= bound),
                     snapped, interval)
+
+
+class WindowPlan(NamedTuple):
+    """The internal steps :meth:`LinearTransientSolver.advance_to` takes
+    through the activations at ``times``, for one
+    :meth:`~LinearTransientSolver.advance_window` call: each activation's
+    interval starts at ``t_prev``; step ``k`` belongs to activation
+    ``owner[k]`` and ``last[a]`` is activation ``a``'s last step (both
+    None with one step each); a step reads its sources at ``ends``
+    (start + h) and ``starts`` (None when the method reads none)."""
+
+    t_prev: np.ndarray
+    times: np.ndarray
+    owner: Optional[np.ndarray]
+    last: Optional[np.ndarray]
+    h_values: np.ndarray
+    targets: np.ndarray
+    ends: np.ndarray
+    starts: Optional[np.ndarray]
 
 
 class LinearTransientSolver(TransientSolver):
@@ -230,6 +250,39 @@ class LinearTransientSolver(TransientSolver):
         self._x = x
         return x
 
+    def plan(self, times: np.ndarray) -> Optional[WindowPlan]:
+        """The steps :meth:`advance_to` would take from the current time
+        through each of ``times`` in turn: per interval the same
+        :func:`substep_counts` and :func:`tick_interval`.  None when
+        ``times`` do not rise strictly from the current time."""
+        count = len(times)
+        t_prev = np.empty(count)
+        t_prev[0] = self._t
+        t_prev[1:] = times[:-1]
+        if not np.all(times > t_prev):
+            return None
+        intervals = tick_interval(t_prev, times)
+        # backward Euler reads no start sources; every step reads its end
+        # sources at start + h, which may differ from the target time by
+        # one ULP (replicated literally)
+        reads_start = self.variant == "expm" or self.method == "trapezoidal"
+        if self.h_internal is None:
+            # One step per activation: no expansion.
+            return WindowPlan(t_prev, times, None, None, intervals, times,
+                              t_prev + intervals,
+                              t_prev if reads_start else None)
+        substeps = substep_counts(t_prev, times, self.h_internal)
+        last = np.cumsum(substeps) - 1
+        owner = np.repeat(np.arange(count), substeps)
+        k = np.arange(len(owner)) - (last + 1 - substeps)[owner]
+        h_values = (intervals / substeps)[owner]
+        starts = t_prev[owner] + k * h_values
+        ends = starts + h_values
+        targets = ends.copy()
+        targets[last] = times
+        return WindowPlan(t_prev, times, owner, last, h_values, targets,
+                          ends, starts if reads_start else None)
+
     def advance_window(self, times: np.ndarray, h_values: np.ndarray,
                        b_next: np.ndarray,
                        b_now: Optional[np.ndarray] = None) -> np.ndarray:
@@ -242,8 +295,9 @@ class LinearTransientSolver(TransientSolver):
         ``advance_to`` expands each synchronization interval into the
         :func:`substep_counts` steps it takes, each the
         :func:`tick_interval` divided by the count, and the result is
-        then bit-identical to those ``advance_to`` calls.  Returns the
-        per-step states, shape ``(len(times), n)``.
+        then bit-identical to those ``advance_to`` calls
+        (:meth:`plan`).  Returns the per-step states, shape
+        ``(len(times), n)``.
         """
         if self._stepper is None:
             self._stepper = make_stepper(self.system, float(h_values[0]),

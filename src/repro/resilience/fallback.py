@@ -198,17 +198,6 @@ class ResilientTransientSolver(TransientSolver):
     def state(self) -> np.ndarray:
         return self.primary.state
 
-    def replace_primary(self, primary: TransientSolver) -> None:
-        """Swap in a rebuilt primary (e.g. after a topology change),
-        keeping the monitor and tier counters."""
-        self.primary = primary
-        if hasattr(primary, "monitor"):
-            primary.monitor = self.monitor
-        self._fallback = self._user_fallback
-        self._fallback_built = self._user_fallback is not None
-        self._t_good = float(primary.time)
-        self._x_good = np.asarray(primary.state, dtype=float).copy()
-
     def note_system_change(self) -> None:
         """Tell the wrapper the primary's system was re-stamped in place
         (e.g. ``LinearTransientSolver.rebind`` after a switch event).

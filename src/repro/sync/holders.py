@@ -43,6 +43,34 @@ class InputHolder:
         fraction = (t - self._t0) / (self._t1 - self._t0)
         return self._previous + fraction * (self.value - self._previous)
 
+    def replay(self, values: np.ndarray, plan):
+        """Vectorized :meth:`__call__` over a solver's window ``plan``
+        (:class:`~repro.ct.solver_api.WindowPlan`), where ``values[a]``
+        is the sample pushed at activation ``a``: the waveform at every
+        step's end, and at every step's start where the plan reads it
+        (else None), bit-identical to the scalar calls.  Leaves the
+        holder as the last activation's :meth:`push` would.
+        """
+        count = len(values)
+        previous = np.empty(count)
+        previous[0] = self.value
+        previous[1:] = values[:-1]
+        t0, t1, owner = plan.t_prev, plan.times, plan.owner
+        if count >= 2:
+            self.value = float(values[-2])
+        self.push(float(values[-1]), float(t0[-1]), float(t1[-1]))
+        if owner is not None:
+            t0, t1 = t0[owner], t1[owner]
+            previous, values = previous[owner], values[owner]
+        if not self.interpolate:
+            return values, values
+        at_end = held_values(plan.ends, t0, t1, previous, values)
+        if plan.starts is None:
+            return at_end, None
+        if owner is None:
+            return at_end, previous  # every step starts at its t0
+        return at_end, held_values(plan.starts, t0, t1, previous, values)
+
 
 def held_values(t, t0, t1, previous, value):
     """Vectorized :meth:`InputHolder.__call__` of interpolating holders.

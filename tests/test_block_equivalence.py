@@ -737,6 +737,37 @@ def test_oversampled_block_run_takes_the_window_path(monkeypatch):
         == 2 * (len(top.sink.samples) - 1)
 
 
+def test_fine_telemetry_keeps_the_window_path(monkeypatch):
+    """Fine telemetry records one ``solver.advance`` span per advance
+    call, here one per window, instead of forcing one ``advance_to``
+    per activation."""
+    def run(block):
+        top = OversampledTop(kind="dense", oversample=2)
+        sim = Simulator(top, tdf_block=block, observe="fine")
+        sim.run(us(200))
+        return top, sim.telemetry.tracer.spans_named("solver.advance")
+
+    reference, _spans = run(False)
+    windows = []
+    advance_window = LinearTransientSolver.advance_window
+
+    def counted_window(self, *args):
+        windows.append(len(args[0]))
+        return advance_window(self, *args)
+
+    def scalar_advance(self, t):
+        raise AssertionError(f"per-activation advance_to({t})")
+
+    monkeypatch.setattr(LinearTransientSolver, "advance_window",
+                        counted_window)
+    monkeypatch.setattr(LinearTransientSolver, "advance_to",
+                        scalar_advance)
+    top, spans = run(True)
+    assert_bytes_equal(reference.sink, top.sink)
+    assert sum(windows) == 2 * (len(top.sink.samples) - 1)
+    assert 1 < len(spans) == len(windows) < len(top.sink.samples) // 4
+
+
 # -- object-mode (non-float payload) fallback --------------------------------
 
 
