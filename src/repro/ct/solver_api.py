@@ -16,6 +16,7 @@ the synchronization layer drives *any* implementation purely through
 from __future__ import annotations
 
 import abc
+import contextlib
 import math
 import warnings
 from typing import Callable, NamedTuple, Optional
@@ -66,6 +67,12 @@ class TransientSolver(abc.ABC):
     @abc.abstractmethod
     def state(self) -> np.ndarray:
         """Current solver state vector."""
+
+    def skip_to(self, t: float) -> None:
+        """Move to time ``t`` keeping the current state, with no step
+        (an activation that gating skips).  The default re-initializes
+        at ``t`` from the current state."""
+        self.initialize(t, self.state)
 
     def stats(self) -> dict:
         """Effort counters under their ``metrics_snapshot`` names, e.g.
@@ -317,6 +324,16 @@ class LinearTransientSolver(TransientSolver):
     def state(self) -> np.ndarray:
         return self._x
 
+    @contextlib.contextmanager
+    def step_limit(self, h: float):
+        """Step at most ``h`` inside the ``with`` block."""
+        saved = self.h_internal
+        self.h_internal = h
+        try:
+            yield
+        finally:
+            self.h_internal = saved
+
     def stats(self) -> dict:
         stats = {"solver.steps": self.step_count}
         if self._stepper is not None:
@@ -443,6 +460,17 @@ class NonlinearTransientSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    @contextlib.contextmanager
+    def step_limit(self, h: float):
+        """Step at most ``h`` inside the ``with`` block, the step
+        controller restarting below it."""
+        saved = self.h_max, self._h
+        self.h_max, self._h = h, None
+        try:
+            yield
+        finally:
+            self.h_max, self._h = saved
 
     def stats(self) -> dict:
         iterations = (self._be.newton_iterations

@@ -123,25 +123,24 @@ class ResilientTransientSolver(TransientSolver):
         except SolverError as exc:
             failures.append(("primary", exc))
 
-        # Tier 2: re-run the interval with a halved internal step.
+        # Tier 2: re-run the interval with a halved internal step (the
+        # built-in solvers' step_limit; unknown plug-ins skip the tier).
         interval = t - self._t_good
-        if interval > 0 and self._step_attribute() is not None \
-                and self.max_halvings > 0:
+        if interval > 0 and self.max_halvings > 0 and isinstance(
+                self.primary,
+                (LinearTransientSolver, NonlinearTransientSolver)):
             tiers_attempted.append("halved")
             for k in range(1, self.max_halvings + 1):
-                saved = self._save_step()
                 try:
-                    self._reinit_primary(self._t_good, self._x_good)
-                    self._set_step(interval / float(2 ** k))
-                    x = self.primary.advance_to(t)
-                    self.monitor.check_state(
-                        x, t, context=f"halved tier (step/{2 ** k})")
-                    self._restore_step(saved)
+                    with self.primary.step_limit(interval / float(2 ** k)):
+                        self._reinit_primary(self._t_good, self._x_good)
+                        x = self.primary.advance_to(t)
+                        self.monitor.check_state(
+                            x, t, context=f"halved tier (step/{2 ** k})")
                     self._record("halved", t)
                     self._commit(t, x)
                     return x
                 except SolverError as exc:
-                    self._restore_step(saved)
                     failures.append((f"halved/{2 ** k}", exc))
 
         # Tier 3: escalate to the stiff external integrator.
@@ -197,6 +196,12 @@ class ResilientTransientSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self.primary.state
+
+    def skip_to(self, t: float) -> None:
+        """Move the primary to ``t`` with no step, and so no health
+        check or tier record (a gated activation)."""
+        self.primary.skip_to(t)
+        self._t_good = t
 
     def note_system_change(self) -> None:
         """Tell the wrapper the primary's system was re-stamped in place
@@ -258,36 +263,6 @@ class ResilientTransientSolver(TransientSolver):
 
     def _reinit_primary(self, t: float, x: np.ndarray) -> None:
         self.primary.initialize(t, np.asarray(x, dtype=float).copy())
-
-    # The halved tier needs to know where the primary keeps its internal
-    # step.  The two built-ins expose different knobs; unknown plug-ins
-    # simply skip the tier.
-
-    def _step_attribute(self) -> Optional[str]:
-        if isinstance(self.primary, LinearTransientSolver):
-            return "h_internal"
-        if isinstance(self.primary, NonlinearTransientSolver):
-            return "h_max"
-        return None
-
-    def _save_step(self):
-        attr = self._step_attribute()
-        saved = getattr(self.primary, attr)
-        extra = getattr(self.primary, "_h", None) \
-            if attr == "h_max" else None
-        return (attr, saved, extra)
-
-    def _set_step(self, h: float) -> None:
-        attr = self._step_attribute()
-        setattr(self.primary, attr, h)
-        if attr == "h_max":
-            self.primary._h = None  # restart the step controller below h
-
-    def _restore_step(self, saved) -> None:
-        attr, value, extra = saved
-        setattr(self.primary, attr, value)
-        if attr == "h_max":
-            self.primary._h = extra
 
     def _get_fallback(self) -> Optional[TransientSolver]:
         if not self._fallback_built:

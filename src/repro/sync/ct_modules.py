@@ -162,7 +162,7 @@ class CtTdfModule(TdfModule):
 
     def initialize(self) -> None:
         for port, holder in self._inputs:
-            holder.value = holder._previous = port.initial_value
+            holder.reset(port.initial_value)
         solver = self._make_solver()
         for _port, extract in self._outputs:
             if isinstance(extract, _Column):
@@ -296,11 +296,7 @@ class CtTdfModule(TdfModule):
             if (self.gating_enabled and self._last_inputs == samples
                     and self._last_delta <= self.gating_tolerance):
                 self.skipped_activations += 1
-                # Time marches on even when gated (unwrap a resilient
-                # chain).
-                getattr(solver, "primary", solver)._t = t_now
-                if hasattr(solver, "_t_good"):
-                    solver._t_good = t_now
+                solver.skip_to(t_now)
                 states[a] = solver.state
                 continue
             before = np.array(solver.state, copy=True)
@@ -387,10 +383,7 @@ class CtTdfModule(TdfModule):
         return {
             "solver": (self._solver.state_dict()
                        if self._solver is not None else None),
-            "holders": [
-                (holder.value, holder._previous, holder._t0, holder._t1)
-                for _port, holder in self._inputs
-            ],
+            "holders": [holder.state() for _port, holder in self._inputs],
             "skipped_activations": self.skipped_activations,
             "last_inputs": self._last_inputs,
             "last_delta": self._last_delta,
@@ -401,9 +394,8 @@ class CtTdfModule(TdfModule):
             return
         if data["solver"] is not None and self._solver is not None:
             self._solver.load_state_dict(data["solver"])
-        for (_port, holder), values in zip(self._inputs, data["holders"]):
-            (holder.value, holder._previous,
-             holder._t0, holder._t1) = values
+        for (_port, holder), state in zip(self._inputs, data["holders"]):
+            holder.load_state(state)
         self.skipped_activations = int(data["skipped_activations"])
         self._last_inputs = data["last_inputs"]
         self._last_delta = data["last_delta"]

@@ -25,6 +25,10 @@ class InputHolder:
         self._t1 = 0.0
         self.interpolate = interpolate
 
+    def reset(self, value: float) -> None:
+        """Hold ``value`` as both the current and the previous sample."""
+        self.value = self._previous = value
+
     def push(self, value: float, t_prev: float, t_now: float) -> None:
         """Record the new sample ``value`` at ``t_now``; the previous
         sample is taken to hold at ``t_prev``."""
@@ -32,6 +36,14 @@ class InputHolder:
         self.value = value
         self._t0 = t_prev
         self._t1 = t_now
+
+    def state(self) -> tuple:
+        """``(value, previous, t_prev, t_now)``, for checkpoints."""
+        return (self.value, self._previous, self._t0, self._t1)
+
+    def load_state(self, state) -> None:
+        """Reinstall a :meth:`state` tuple."""
+        self.value, self._previous, self._t0, self._t1 = state
 
     def __call__(self, t: float) -> float:
         if not self.interpolate or self._t1 <= self._t0:
