@@ -348,9 +348,10 @@ class CtTdfModule(TdfModule):
                     map(waveform, plan.starts.tolist()), float, steps)
             else:
                 at_end = at_start = float(waveform)
-            b_next[:, row] += scale * at_end
+            b_next[:, row] += at_end if scale == 1.0 else scale * at_end
             if b_now is not None:
-                b_now[:, row] += scale * at_start
+                b_now[:, row] += at_start if scale == 1.0 \
+                    else scale * at_start
         before = solver.state
         states = solver.advance_window(plan.targets, plan.h_values,
                                        b_next, b_now)
