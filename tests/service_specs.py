@@ -75,6 +75,27 @@ FLAKY = Campaign(
 )
 
 
+def _crashy_run(params):
+    """Kills its worker process on point ``x == 1``'s first attempt
+    (after dropping a marker file); the retry sees the marker and
+    succeeds."""
+    marker_dir = os.environ["REPRO_TEST_FLAKY_DIR"]  # verify: allow[CODE005]
+    marker = Path(marker_dir) / f"crashed_{params['x']}"
+    if params["x"] == 1 and not marker.exists():
+        marker.write_text("1")
+        os._exit(1)
+    return {"y": params["x"] * 2.0}
+
+
+CRASHY = Campaign(
+    name="crashy",
+    space=Sweep({"x": [0, 1, 2, 3]}),
+    run=_crashy_run,
+    root_seed=606,
+    code_version="svc-crashy-1",
+)
+
+
 class _UnboundSrc(TdfModule):
     """TDF source whose output port is never bound — the static
     verifier rejects the model (TDF unbound-port rule)."""

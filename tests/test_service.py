@@ -768,3 +768,70 @@ class TestFleetObservability:
         assert enabled <= max(2.0 * disabled, disabled + 0.25), (
             f"fleet telemetry overhead too high: {enabled:.4f}s vs "
             f"{disabled:.4f}s untraced")
+
+
+# ---------------------------------------------------------------------------
+# Crash recovery and cross-process dedup
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_local_pool_crash_is_retried(tmp_path, monkeypatch, workers):
+    """A pool process that dies mid-point breaks the fork pool: the pool
+    is rebuilt and the lost points run again.  (No serial comparison:
+    the crash would end this process.)"""
+    monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
+    with serve(workers=workers) as (_, client):
+        job = client.submit(ref("crashy"), retries=1, chunk_size=1)
+        done = client.wait(job["id"], timeout=30)
+        assert done["state"] == "done"
+        assert done["ok"] == done["total"] == 4
+        records = list(client.stream(job["id"]))
+        crashed = [record for record in records
+                   if record["params"]["x"] == 1]
+        assert [record["attempts"] for record in crashed] == [2]
+        assert client.metrics()["counters"][
+            "service.points.retried"] >= 1
+
+
+def test_two_services_share_one_store(tmp_path):
+    """Two service processes on one store dedup through its claims."""
+    store = tmp_path / "store"
+    with serve(workers=0, store_dir=store) as (handle_a, client_a), \
+            serve(workers=0, store_dir=store) as (handle_b, client_b):
+        assert handle_a.service.owner != handle_b.service.owner
+
+        # B waits on A's claims and adopts A's published results
+        job_a = client_a.submit(ref("quick"))
+        job_b = client_b.submit(ref("quick"))
+        run_worker(handle_a.url, worker_id="a", poll=0.05, max_idle=0.5)
+        done_a = client_a.wait(job_a["id"], timeout=10)
+        done_b = client_b.wait(job_b["id"], timeout=10)
+        assert done_a["executed"] == 8
+        assert done_b["state"] == "done"
+        assert done_b["cached"] == 8
+        assert done_b["executed"] == 0
+        assert client_b.results(job_b["id"])["fingerprint"] \
+            == client_a.results(job_a["id"])["fingerprint"]
+
+        # A cancels before any lease: its claims are released and B's
+        # store poll takes the points over
+        job_a = client_a.submit(ref("quick"), root_seed=7)
+        job_b = client_b.submit(ref("quick"), root_seed=7)
+        assert client_a.cancel(job_a["id"])["state"] == "cancelled"
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=run_worker, args=(handle_b.url,),
+            kwargs={"worker_id": "b", "poll": 0.05,
+                    "stop_when": stop.is_set}, daemon=True)
+        worker.start()
+        try:
+            done_b = client_b.wait(job_b["id"], timeout=15)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert done_b["state"] == "done"
+        assert done_b["executed"] == 8
+        assert client_b.results(job_b["id"])["fingerprint"] \
+            == serial_fingerprint("quick", root_seed=7)
