@@ -21,7 +21,7 @@ from repro.ct import (
     per_source_contributions,
     thermal_current_psd,
 )
-from repro.eln import Isource, Resistor, Vsource
+from repro.eln import Resistor, Vsource
 from repro.nonlin import Diode, NMos, NonlinearNetwork
 
 

@@ -10,7 +10,6 @@ waveform agreement and the relative cost of each engine.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.core import Module, SimTime, Simulator

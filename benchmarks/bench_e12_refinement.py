@@ -15,7 +15,6 @@ simulation cost grows — the trade the methodology is about.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.analysis import ToneAnalysis, coherent_tone_frequency

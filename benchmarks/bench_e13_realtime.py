@@ -9,13 +9,12 @@ stage) against their real-time budget, i.e. the real-time factor.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.ct import LinearTransientSolver
 from repro.eln import Network, Vsource
 from repro.multidomain import DcMotor, Inertia, RotationalDamper
-from repro.power import HalfBridgeDriver, PwlSolver, RLLoad
+from repro.power import HalfBridgeDriver, RLLoad
 
 STEP_SECONDS = 1e-3  # a typical 1 kHz HIL step (automotive speed loop)
 

@@ -5,16 +5,11 @@ PASS construction on generated multirate graphs (validity), scheduling
 throughput versus graph size, and buffer bounds of the static schedule.
 """
 
-import numpy as np
-import pytest
-
 from conftest import print_table
 from repro.sdf import (
-    Add,
     Downsample,
     Fir,
     Fork,
-    Gain,
     Ramp,
     SdfGraph,
     Sink,

@@ -7,7 +7,6 @@ amplitude error vs the analytic transfer, and the cost of oversampling.
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
 from repro.core import Module, SimTime, Simulator

@@ -12,7 +12,6 @@ model setup instead of duplicating it.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import coherent_tone_frequency, enob_of_tone
 from repro.baselines import golden_pipeline_convert

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.ct import corner_frequency, integrated_noise, magnitude_db
+from repro.ct import integrated_noise, magnitude_db
 from repro.ct.noise import BOLTZMANN
 from repro.eln import (
     Capacitor,

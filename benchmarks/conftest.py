@@ -6,9 +6,6 @@ experiment defines (visible with ``-s``), and *asserts* the expected
 shape so regressions fail loudly.
 """
 
-import numpy as np
-import pytest
-
 
 def print_table(title: str, header: list[str], rows: list[list]) -> None:
     """Uniform fixed-width table printer for bench output."""

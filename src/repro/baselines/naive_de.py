@@ -15,7 +15,7 @@ identical N-block gain chains.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -7,7 +7,7 @@ the "comparable accuracy to MATLAB" comparisons of the seed work.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp

@@ -7,7 +7,7 @@ evaluation phase observes the same value — the SystemC determinism rule.
 
 from __future__ import annotations
 
-from typing import Generic, Optional, TypeVar
+from typing import Generic, TypeVar
 
 from .events import Event
 from .kernel import Kernel

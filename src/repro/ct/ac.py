@@ -9,8 +9,6 @@ nonlinear systems the matrices are the Jacobians at the DC operating point
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu

@@ -8,7 +8,7 @@ timepoints by interpolation or bisection.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ paper groups under "static analyses ... (including noise analysis)".
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 

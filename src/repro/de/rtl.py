@@ -11,7 +11,7 @@ from typing import Callable, Optional
 from ..core.clock import Clock
 from ..core.errors import ElaborationError
 from ..core.module import Module
-from ..core.port import InPort, OutPort
+from ..core.port import InPort
 from ..core.signal import BitSignal, Signal
 
 

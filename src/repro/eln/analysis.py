@@ -7,7 +7,7 @@ results by node name rather than matrix index.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

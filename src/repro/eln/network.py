@@ -15,14 +15,14 @@ branch current per component that introduces a current unknown
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core.errors import ElaborationError, SolverError
 from ..ct.linear import LinearDae
-from ..ct.noise import NoiseSource, thermal_current_psd
+from ..ct.noise import NoiseSource
 
 #: The reference node name.
 GROUND = "0"

@@ -21,7 +21,7 @@ variable handles (plain integers) and the time.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

@@ -21,7 +21,7 @@ M (NMOS).  Values accept SPICE suffixes (f p n u m k meg g t).
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

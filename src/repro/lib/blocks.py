@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.module import Module
-from ..core.signal import Signal
 from ..core.time import SimTime
 from ..tdf.module import TdfDeOut, TdfModule
 from ..tdf.signal import TdfIn, TdfOut

@@ -11,12 +11,12 @@ domain from the *same* equations, as the paper requires.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..core.errors import ElaborationError, SolverError
-from ..ct.linear import LinearDae, LinearStepper
+from ..ct.linear import LinearDae
 
 
 class LsfSignal:

@@ -16,8 +16,6 @@ time steps").
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.errors import ElaborationError

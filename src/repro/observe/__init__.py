@@ -63,7 +63,7 @@ from .metrics import (
     find_non_finite,
     metric_key,
 )
-from .tracer import DEFAULT_MAX_EVENTS, NULL_SPAN, SpanHandle, Tracer
+from .tracer import DEFAULT_MAX_EVENTS, SpanHandle, Tracer
 
 __all__ = [
     "Counter",

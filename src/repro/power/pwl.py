@@ -17,7 +17,7 @@ measures its speedup over the general nonlinear solver.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from scipy.linalg import expm

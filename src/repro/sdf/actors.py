@@ -7,7 +7,7 @@ filtering, sources and sinks.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.errors import ElaborationError, SchedulingError
 

@@ -47,7 +47,6 @@ from ..core.errors import (
 from ..core.process import THREAD, Process
 from ..core.time import SimTime
 from .module import TdfDeIn, TdfDeOut, TdfModule
-from .signal import TdfIn, TdfOut
 
 
 class TdfRegistry:

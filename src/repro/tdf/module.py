@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..core.errors import ElaborationError, SynchronizationError
+from ..core.errors import SynchronizationError
 from ..core.events import Event
 from ..core.module import Module
 from ..core.port import InPort, OutPort
 from ..core.time import FEMTO, SimTime, ZERO_TIME
-from .signal import TdfIn, TdfOut, TdfPortBase
+from .signal import TdfPortBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import TdfCluster

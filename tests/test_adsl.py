@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from repro.adsl import (
-    REG_HOOK_STATUS,
-    REG_LINE_LEVEL,
     REG_TX_ENABLE,
     AdslConfig,
     AdslSystem,

@@ -16,7 +16,6 @@ from repro.baselines import (
     series_rlc_step_response,
     van_der_pol_reference,
 )
-from repro.core import SimTime
 from repro.ct import LinearDae
 from repro.lib import PipelinedAdc, quantize_midrise
 

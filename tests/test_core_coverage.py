@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     BindingError,
-    ElaborationError,
     Event,
     InOutPort,
     InPort,

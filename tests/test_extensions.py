@@ -9,7 +9,6 @@ from repro.core import (
     Clock,
     ElaborationError,
     Module,
-    Signal,
     SimTime,
     Simulator,
 )

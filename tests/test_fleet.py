@@ -8,7 +8,6 @@ in tests/test_service.py::TestFleetObservability.
 """
 
 import json
-import math
 
 import pytest
 

@@ -7,9 +7,8 @@ import pytest
 from repro.core import SolverError
 from repro.ct import FunctionSystem, variable_step_transient
 from repro.ct.harmonic import harmonic_balance
-from repro.ct.nonlinear import dlimexp, limexp
-from repro.eln import Capacitor, Isource, Resistor, Vsource
-from repro.nonlin import Diode, NonlinearConductor, NonlinearNetwork
+from repro.eln import Capacitor, Isource, Resistor
+from repro.nonlin import Diode, NonlinearNetwork
 
 
 def linear_rc(r=1e3, c=1e-6, amplitude=1.0, frequency=1e3):

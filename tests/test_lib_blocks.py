@@ -7,7 +7,6 @@ from repro.analysis import estimate_frequency, rms
 from repro.core import Module, SimTime, Simulator
 from repro.lib import (
     Add2,
-    Biquad,
     Comparator,
     DeadbandBlock,
     FirFilter,

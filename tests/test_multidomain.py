@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ElaborationError
-from repro.eln import Network, Resistor, Vsource, dc_analysis, \
+from repro.eln import Network, Vsource, dc_analysis, \
     transient_analysis
 from repro.multidomain import (
     AmbientTemperature,

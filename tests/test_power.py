@@ -5,8 +5,6 @@ import pytest
 
 from repro.core import ElaborationError, SolverError
 from repro.power import (
-    HIGH,
-    LOW,
     HalfBridgeDriver,
     PwlConfig,
     PwlSolver,

@@ -7,7 +7,7 @@ continuity of device models, and parser/builder equivalence.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ct import LinearDae, newton

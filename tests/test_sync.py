@@ -4,7 +4,7 @@ clusters, DE-controlled switches, activation gating, solver plug-ins."""
 import numpy as np
 import pytest
 
-from repro.core import BitSignal, Clock, Module, SimTime, Simulator
+from repro.core import Clock, Module, SimTime, Simulator
 from repro.ct import ScipyIvpSolver, TransientSolver
 from repro.ct.nonlinear import NonlinearSystem, dlimexp, limexp
 from repro.eln import Capacitor, Network, Resistor, Switch, Vsource

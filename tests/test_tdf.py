@@ -1,7 +1,6 @@
 """Tests for the TDF MoC: cluster discovery, rate analysis, timestep
 propagation, static scheduling, delays, and DE converter ports."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

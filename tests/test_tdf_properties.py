@@ -1,7 +1,6 @@
 """Property-based tests for TDF cluster elaboration invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
