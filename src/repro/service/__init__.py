@@ -38,8 +38,7 @@ from .jobs import (
     Job,
     JobRequest,
     SubmitError,
-    execute_chunk_by_ref,
-    execute_chunk_traced,
+    execute_chunk,
 )
 from .queue import PRIORITIES, FairShareQueue, QueueFull
 from .server import CampaignService, ServiceHandle, start_in_thread
@@ -58,8 +57,7 @@ __all__ = [
     "ServiceHandle",
     "SharedResultStore",
     "SubmitError",
-    "execute_chunk_by_ref",
-    "execute_chunk_traced",
+    "execute_chunk",
     "run_worker",
     "start_in_thread",
 ]

@@ -2,12 +2,12 @@
 
 A *job* is one submitted campaign: a spec reference, a tenant, a
 priority, and the planned (seeded) records of every point.  A *chunk*
-is the dispatch unit — a slice of a job's pending points shipped to a
-local pool worker or leased to a remote worker.  Both local and remote
-executors run the same entry point, :func:`execute_chunk_by_ref`,
-which re-resolves the campaign from its textual spec reference inside
-the worker process — the wire (and the pickle stream) carries only
-strings and parameter dicts, never live callables or simulators.
+is the dispatch unit — a slice of a job's pending points leased to a
+local pool slot or a remote worker.  Both run the same entry point,
+:func:`execute_chunk`, which re-resolves the campaign from its textual
+spec reference inside the worker process — the wire (and the pickle
+stream) carries only strings and parameter dicts, never live callables
+or simulators.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ class Chunk:
     state: str = "queued"          # queued | leased | done
     worker: Optional[str] = None
     deadline: Optional[float] = None   # lease expiry (monotonic)
-    cancelled: bool = False
     leases: int = 0
     #: trace context for this dispatch (the job context's child),
     #: carried to executors via the lease payload / pickle stream
@@ -131,10 +130,13 @@ class Chunk:
     created_wall: float = 0.0
     started_wall: float = 0.0
 
-    def lease(self, worker: str, timeout: float) -> None:
+    def lease(self, worker: str, timeout: Optional[float]) -> None:
+        """Hand the chunk to ``worker``; with no ``timeout`` the lease
+        never expires (a local pool slot's ends with its future)."""
         self.state = "leased"
         self.worker = worker
-        self.deadline = time.monotonic() + timeout
+        self.deadline = None if timeout is None \
+            else time.monotonic() + timeout
         self.leases += 1
         self.started_wall = time.time()
 
@@ -239,56 +241,44 @@ class Job:
         }
 
 
-def execute_chunk_by_ref(spec_ref: str, tasks: List[RunTask],
-                         timeout: Optional[float]
-                         ) -> List[Dict[str, Any]]:
+def execute_chunk(spec_ref: str, tasks: List[RunTask],
+                  timeout: Optional[float],
+                  traceparent: Optional[str] = None,
+                  worker: str = "") -> Dict[str, Any]:
     """Worker entry point shared by the local pool and remote hosts.
 
     Resolves ``spec_ref`` (memoized per process by
     :func:`~repro.core.resolve.load_module_from_path`), executes the
     chunk through the campaign runner's machinery — per-run SIGALRM
     timeout, failure classification, telemetry harvest — and returns
-    JSON-safe outcome dicts.  Tasks arrive as ``(index, params,
-    attempt)`` with seeds already planned into ``params``, so every
-    executor produces bit-identical metrics for the same task.
+    ``{"outcomes": [...], "telemetry": segment or None}`` with JSON-safe
+    outcome dicts.  Tasks arrive as ``(index, params, attempt)`` with
+    seeds already planned into ``params``, so every executor produces
+    bit-identical metrics for the same task.
+
+    With a ``traceparent`` the chunk runs under a chunk-local
+    :class:`~repro.observe.Telemetry` hub (so fork-pool workers, remote
+    pull-workers and the server's own threads never share mutable
+    telemetry state), recording per-point ``point.run`` spans plus each
+    point's simulation spans, and ``telemetry`` is the segment
+    (:func:`~repro.observe.fleet.telemetry_payload`) carrying the spans,
+    metrics and wall-clock epoch needed for stitching.  Without one, no
+    hub is installed and no segment is shipped.
     """
     campaign = resolve_spec_ref(spec_ref)
     target = (campaign.run, campaign.build, campaign.duration,
               campaign.metrics, None)
     tasks = [(int(i), dict(p), int(a)) for i, p, a in tasks]
-    outcomes = _execute_chunk(target, tasks, timeout)
-    return [outcome_to_json(outcome) for outcome in outcomes]
-
-
-def execute_chunk_traced(spec_ref: str, tasks: List[RunTask],
-                         timeout: Optional[float],
-                         traceparent: Optional[str] = None,
-                         worker: str = "",
-                         max_spans: int = DEFAULT_SEGMENT_SPANS
-                         ) -> Dict[str, Any]:
-    """:func:`execute_chunk_by_ref` plus a telemetry segment.
-
-    The executor builds a chunk-local :class:`~repro.observe.Telemetry`
-    hub (so fork-pool workers, remote pull-workers and the server's own
-    threads never share mutable telemetry state), runs the chunk
-    through the campaign machinery with that hub installed — per-point
-    ``point.run`` spans plus each point's simulation spans — and
-    returns ``{"outcomes": [...], "telemetry": segment}`` where the
-    segment (:func:`~repro.observe.fleet.telemetry_payload`) carries
-    the spans, metrics and wall-clock epoch needed for stitching.
-    """
-    campaign = resolve_spec_ref(spec_ref)
-    target = (campaign.run, campaign.build, campaign.duration,
-              campaign.metrics, None)
-    tasks = [(int(i), dict(p), int(a)) for i, p, a in tasks]
-    hub = Telemetry(max_events=max_spans)
-    with hub.tracer.span("chunk.run", track="chunk",
-                         tasks=len(tasks)):
-        outcomes = _execute_chunk(target, tasks, timeout, hub)
-    return {
-        "outcomes": [outcome_to_json(outcome)
-                     for outcome in outcomes],
-        "telemetry": telemetry_payload(hub, worker=worker,
-                                       traceparent=traceparent,
-                                       max_spans=max_spans),
-    }
+    telemetry = None
+    if traceparent:
+        hub = Telemetry(max_events=DEFAULT_SEGMENT_SPANS)
+        with hub.tracer.span("chunk.run", track="chunk",
+                             tasks=len(tasks)):
+            outcomes = _execute_chunk(target, tasks, timeout, hub)
+        telemetry = telemetry_payload(hub, worker=worker,
+                                      traceparent=traceparent)
+    else:
+        outcomes = _execute_chunk(target, tasks, timeout)
+    return {"outcomes": [outcome_to_json(outcome)
+                         for outcome in outcomes],
+            "telemetry": telemetry}

@@ -116,17 +116,8 @@ class FairShareQueue:
         self._pending_points += points
 
     def pop(self):
-        """Dequeue the next chunk under the fair-share policy, skipping
-        chunks whose job was cancelled; ``None`` when empty."""
-        while True:
-            chunk = self._pop_once()
-            if chunk is None:
-                return None
-            if getattr(chunk, "cancelled", False):
-                continue
-            return chunk
-
-    def _pop_once(self):
+        """Dequeue the next chunk under the fair-share policy; ``None``
+        when empty."""
         active = [t for t, lanes in self._lanes.items()
                   if any(lanes)]
         if not active:

@@ -2,18 +2,21 @@
 
 One :class:`CampaignService` process owns the control plane — job
 admission (with static pre-flight), the fair-share chunk queue, the
-single-flight table, per-job streaming — and executes chunks on two
-kinds of data plane simultaneously:
+single-flight tables, per-job streaming — and every chunk goes through
+one lifecycle, whoever executes it:
 
-* a **local process pool** (``workers`` > 0), fed by the dispatcher
-  loop;
-* **remote workers** on any host that can reach the HTTP port and see
-  the spec file, pulling chunks via ``POST /v1/workers/lease``
-  (pull-based work stealing: a faster host simply leases more often)
-  and returning outcomes via ``POST /v1/workers/complete``.  A leased
-  chunk that is not completed within ``lease_timeout`` seconds is
-  re-queued by the reaper — a crashed worker loses its lease, never
-  the work.
+* **lease** — two kinds of executor take chunks off the queue the same
+  way: the ``workers`` local pool slots, which run chunks on a fork
+  pool, and remote workers on any host that can reach the HTTP port
+  and see the spec file, via ``POST /v1/workers/lease`` (pull-based
+  work stealing: a faster host simply leases more often).  Both run
+  :func:`~repro.service.jobs.execute_chunk`.
+* **end** — a chunk ends exactly once: *complete*, with outcomes (a
+  pool slot's result, or ``POST /v1/workers/complete``), or *drop*,
+  without them, once its job has ended.  A remote lease not completed
+  within ``lease_timeout`` seconds is re-queued by the reaper — a
+  crashed worker loses its lease, never the work; a local lease ends
+  when its pool future finishes or fails.
 
 Endpoints (all JSON; one request per connection):
 
@@ -45,10 +48,10 @@ POST   /v1/workers/complete            return chunk outcomes
 Fleet observability (``observe="on"``, the default): each admitted job
 mints a W3C-``traceparent``-style trace context; every chunk dispatch
 derives a child context carried to executors through the lease payload
-and the fork/pickle boundary.  Executors run chunks through
-:func:`~repro.service.jobs.execute_chunk_traced`, shipping a
-size-capped telemetry segment (spans + metrics + wall-clock epoch)
-back with their outcomes; the server adds its own queue-wait / lease
+and the fork/pickle boundary.  Given that context,
+:func:`~repro.service.jobs.execute_chunk` ships a size-capped
+telemetry segment (spans + metrics + wall-clock epoch) back with the
+outcomes; the server adds its own queue-wait / lease
 spans and cache-hit instants and stitches everything into one
 Perfetto-loadable trace per job.  Worker metric registries are merged
 (counter sum, gauge last-write, histogram bucket-merge) into the
@@ -57,8 +60,9 @@ cluster view behind ``GET /metrics``.
 Determinism contract: seeds are planned once, server-side, into each
 point's params; identical points (same campaign name, params incl.
 seed, code version, verifier ruleset) are computed **once** fleet-wide
-— concurrent duplicates join the in-flight point as followers, later
-duplicates hit the shared store — and every job's aggregate is
+— concurrent duplicates wait for the in-flight point, here or in
+another process sharing the store, later duplicates hit the shared
+store — and every job's aggregate is
 bit-identical to a serial :class:`~repro.campaign.runner.CampaignRunner`
 execution of the same campaign.
 """
@@ -112,8 +116,7 @@ from .jobs import (
     Job,
     JobRequest,
     SubmitError,
-    execute_chunk_by_ref,
-    execute_chunk_traced,
+    execute_chunk,
 )
 from .queue import FairShareQueue
 
@@ -185,16 +188,17 @@ class CampaignService:
                                     weights=tenant_weights)
         self.jobs: Dict[str, Job] = {}
         self.chunks: Dict[str, Chunk] = {}
-        #: cache key -> (job_id, index) currently computing that point
+        #: cache key -> (job_id, index) computing that point in this
+        #: process (the in-process claim table)
         self._leader: Dict[str, Tuple[str, int]] = {}
-        #: cache key -> [(job_id, index), ...] awaiting the leader
-        self._followers: Dict[str, List[Tuple[str, int]]] = {}
-        #: cache key -> [(job_id, index), ...] awaiting a *foreign*
-        #: process' publication (store claim by another owner)
-        self._external: Dict[str, List[Tuple[str, int]]] = {}
+        #: cache key -> [(job_id, index), ...] waiting for that key's
+        #: result: from this process' leader when the key is in
+        #: ``_leader``, else from another process sharing the store
+        self._waiters: Dict[str, List[Tuple[str, int]]] = {}
         self._appenders: Dict[str, JsonlAppender] = {}
         self._job_seq = 0
-        self._local_busy = 0
+        #: every worker name that ever leased (its gauge then reads 0,
+        #: not its last value, once it holds no lease)
         self._seen_workers: set = set()
         #: finished traced jobs still holding executor segments, oldest
         #: first (at most MAX_TRACED_JOBS)
@@ -233,7 +237,8 @@ class CampaignService:
             self.port = server.sockets[0].getsockname()[1]
         logger.info("campaign service listening on %s:%d (%d local "
                     "worker(s))", self.host, self.port, self.workers)
-        self._spawn(self._dispatch_loop())
+        for _ in range(self.workers):
+            self._spawn(self._pool_slot())
         self._spawn(self._reaper_loop())
         if self.store is not None:
             self._spawn(self._external_poll_loop())
@@ -272,7 +277,13 @@ class CampaignService:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    def _wakeup(self) -> None:
+    def _enqueue(self, chunks: List[Chunk], force: bool = True) -> None:
+        """Queue ``chunks`` and wake the idle pool slots.  Only
+        admission passes ``force=False``: admitted work (retries,
+        requeues, promotions) is never refused by backpressure."""
+        for chunk in chunks:
+            self.chunks[chunk.chunk_id] = chunk
+            self.queue.push(chunk, force=force)
         if self._wake is not None:
             self._wake.set()
 
@@ -405,25 +416,22 @@ class CampaignService:
         # classify every point before mutating any shared state, so a
         # 429 leaves no residue
         cached_hits: List[Tuple[int, RunRecord]] = []
-        follow: List[Tuple[int, str]] = []
-        external: List[Tuple[int, str]] = []
+        wait: List[Tuple[int, str]] = []
         dispatch: List[Tuple[int, str]] = []
-        seen_in_job: Dict[str, int] = {}
+        seen_in_job: set = set()
         for index, key in enumerate(keys):
             hit = self.store.get(key) if self.store is not None \
                 else None
             if hit is not None and hit.status == "ok":
                 cached_hits.append((index, hit))
-            elif key in self._leader or key in seen_in_job:
-                follow.append((index, key))
-            elif key in self._external:
-                external.append((index, key))
-            elif self.store is not None \
-                    and self.store.claimed_elsewhere(key, self.owner):
-                external.append((index, key))
+            elif key in self._leader or key in self._waiters \
+                    or key in seen_in_job \
+                    or (self.store is not None and
+                        self.store.claimed_elsewhere(key, self.owner)):
+                wait.append((index, key))
             else:
                 dispatch.append((index, key))
-                seen_in_job[key] = index
+                seen_in_job.add(key)
         if not self.queue.has_capacity(len(dispatch)):
             self.metrics.counter("service.jobs.rejected").inc()
             raise HttpError(
@@ -451,12 +459,9 @@ class CampaignService:
                              tenant=request.tenant).inc()
 
         for index, hit in cached_hits:
-            self._finalize_from_record(job, index, hit,
-                                       source="cached")
-        for index, key in follow:
-            self._followers.setdefault(key, []).append((job_id, index))
-        for index, key in external:
-            self._external.setdefault(key, []).append((job_id, index))
+            self._finalize_point(job, index, hit, "cached")
+        for index, key in wait:
+            self._waiters.setdefault(key, []).append((job_id, index))
         tasks = []
         for index, key in dispatch:
             if self.store is not None:
@@ -464,14 +469,11 @@ class CampaignService:
             self._leader[key] = (job_id, index)
             tasks.append((index, records[index].params, 1))
         if tasks:
-            for chunk in job.make_chunks(tasks, request.chunk_size):
-                self.chunks[chunk.chunk_id] = chunk
-                self.queue.push(chunk)
+            self._enqueue(job.make_chunks(tasks, request.chunk_size),
+                          force=False)
         elif not job.terminal and job.counts["completed"] \
                 == job.counts["total"]:
             self._finish_job(job)
-        self._observe_queue_depth()
-        self._wakeup()
         return job
 
     @staticmethod
@@ -550,39 +552,24 @@ class CampaignService:
         self._appenders[job.id] = JsonlAppender(
             directory / "records.jsonl")
 
-    def _finalize_from_record(self, job: Job, index: int,
-                              source_record: RunRecord,
-                              source: str) -> None:
-        """Complete one point from an already-computed record (store
-        hit or dedup'd leader result)."""
-        self._finalize_point(
-            job, index, status=source_record.status,
-            metrics=source_record.metrics, error=source_record.error,
-            failure_kind=source_record.failure_kind,
-            attempts=source_record.attempts,
-            wall_time=source_record.wall_time,
-            metrics_telemetry=source_record.metrics_telemetry,
-            source=source)
-
-    def _finalize_point(self, job: Job, index: int, *, status: str,
-                        metrics: Dict[str, Any], error: Optional[str],
-                        failure_kind: Optional[str], attempts: int,
-                        wall_time: float,
-                        metrics_telemetry: Optional[Dict[str, Any]],
+    def _finalize_point(self, job: Job, index: int, result: RunRecord,
                         source: str) -> None:
+        """Complete one point of a live job from ``result``: computed
+        for it (``executed``), computed for another job's point
+        (``dedup``) or read from the store (``cached``)."""
         record = job.records[index]
-        if record.status != "pending":
-            return  # late duplicate; first finalization won
-        record.status = status
-        record.metrics = dict(metrics or {})
-        record.error = error
-        record.failure_kind = failure_kind
-        record.attempts = attempts
-        record.wall_time += wall_time
-        record.metrics_telemetry = metrics_telemetry
+        if job.terminal or record.status != "pending":
+            return  # ended job, or late duplicate: first one won
+        record.status = result.status
+        record.metrics = dict(result.metrics or {})
+        record.error = result.error
+        record.failure_kind = result.failure_kind
+        record.attempts = result.attempts
+        record.wall_time += result.wall_time
+        record.metrics_telemetry = result.metrics_telemetry
         record.cached = source in ("cached", "dedup")
         job.counts["completed"] += 1
-        job.counts["ok" if status == "ok" else "failed"] += 1
+        job.counts["ok" if record.status == "ok" else "failed"] += 1
         counter = {"cached": "cached", "dedup": "deduped",
                    "executed": "executed"}[source]
         job.counts[counter] += 1
@@ -590,7 +577,7 @@ class CampaignService:
         self.metrics.counter(f"service.points.{counter}").inc()
         self.metrics.counter(f"service.points.{counter}",
                              tenant=tenant).inc()
-        if status == "failed":
+        if record.status == "failed":
             self.metrics.counter("service.points.failed").inc()
             self.metrics.counter("service.points.failed",
                                  tenant=tenant).inc()
@@ -599,11 +586,11 @@ class CampaignService:
             # the exposition's kind="failed" discriminator label
             self.metrics.counter(
                 "service.point.failures", tenant=tenant,
-                kind=failure_kind or "unknown").inc()
+                kind=record.failure_kind or "unknown").inc()
         if source == "executed":
             self.metrics.histogram(
                 "service.point.seconds", bounds=LATENCY_BOUNDS,
-                tenant=tenant).observe(float(wall_time))
+                tenant=tenant).observe(float(result.wall_time))
         else:
             self._server_event(job, INSTANT, "cache.hit", "cache",
                               time.time(), 0.0, index=index,
@@ -618,8 +605,7 @@ class CampaignService:
             appender.append(entry)
         for subscriber in list(job.subscribers):
             subscriber.put_nowait(entry)
-        if job.counts["completed"] == job.counts["total"] \
-                and not job.terminal:
+        if job.counts["completed"] == job.counts["total"]:
             self._finish_job(job)
 
     def _finish_job(self, job: Job, state: str = DONE) -> None:
@@ -680,16 +666,9 @@ class CampaignService:
                 and attempt <= job.request.retries \
                 and not job.terminal:
             record.wall_time += float(outcome.get("wall_time", 0.0))
-            retry = Chunk(chunk_id=job.next_chunk_id(),
-                          job_id=job.id, tenant=job.request.tenant,
-                          priority=job.request.priority,
-                          tasks=[(index, record.params, attempt + 1)],
-                          created_wall=time.time())
-            self._trace_chunk(job, retry)
-            self.chunks[retry.chunk_id] = retry
-            self.queue.push(retry, force=True)
+            self._enqueue(job.make_chunks(
+                [(index, record.params, attempt + 1)], 1))
             self.metrics.counter("service.points.retried").inc()
-            self._wakeup()
             return
 
         result = RunRecord(
@@ -699,54 +678,76 @@ class CampaignService:
             wall_time=float(outcome.get("wall_time", 0.0)),
             attempts=attempt,
             metrics_telemetry=outcome.get("metrics_telemetry"))
-        if not job.terminal:
-            self._finalize_from_record(job, index, result,
-                                       source="executed")
+        self._finalize_point(job, index, result, "executed")
         if self.store is not None:
             self.store.publish(key, result, owner=self.owner)
-        leader = self._leader.get(key)
-        if leader == (job.id, index):
+        if self._leader.get(key) == (job.id, index):
             del self._leader[key]
-        for fjob_id, findex in self._followers.pop(key, []):
-            follower = self.jobs.get(fjob_id)
-            if follower is not None and not follower.terminal:
-                self._finalize_from_record(follower, findex, result,
-                                           source="dedup")
+        for waiter_id, waiter_index in self._waiters.pop(key, []):
+            self._finalize_point(self.jobs[waiter_id], waiter_index,
+                                 result, "dedup")
 
-    @staticmethod
-    def _trace_chunk(job: Job, chunk: Chunk) -> None:
-        """Derive a child trace context for an ad-hoc (retry/requeue/
-        promotion) chunk; batch chunks get theirs in ``make_chunks``."""
-        if job.trace_context is not None:
-            chunk.traceparent = \
-                job.trace_context.child().to_traceparent()
+    def _observe_queue_depth(self) -> None:
+        """Refresh the queue and lease gauges (at scrape time)."""
+        self.metrics.gauge("queue.depth").set(self.queue.depth())
+        for tenant in {job.request.tenant
+                       for job in self.jobs.values()}:
+            self.metrics.gauge("queue.depth", tenant=tenant).set(
+                self.queue.depth(tenant))
+        # worker liveness: active leases per executor name, local pool
+        # slots included (every worker that ever leased is reported, so
+        # a vanished host reads 0, not its last value)
+        leases: Dict[str, int] = {}
+        for chunk in self.chunks.values():
+            if chunk.state == "leased":
+                leases[chunk.worker] = leases.get(chunk.worker, 0) + 1
+        for worker in self._seen_workers:
+            self.metrics.gauge("workers.active_leases",
+                               worker=worker).set(
+                leases.get(worker, 0))
 
-    def _record_queue_wait(self, job: Job, chunk: Chunk) -> None:
-        """Queue-wait accounting at the moment a chunk leaves the
-        queue for an executor (local pool slot or remote lease)."""
-        now = time.time()
-        created = chunk.created_wall or now
-        wait = max(0.0, now - created)
-        self.metrics.histogram(
-            "service.queue.wait_seconds", bounds=LATENCY_BOUNDS,
-            tenant=chunk.tenant).observe(wait)
-        self._server_event(job, SPAN, "queue.wait", "queue",
-                           created, wait, chunk=chunk.chunk_id,
-                           tenant=chunk.tenant)
+    # ------------------------------------------------------------------
+    # the chunk lifecycle: lease, then complete or drop
+    # ------------------------------------------------------------------
 
-    def _complete_chunk(self, chunk: Chunk,
+    def _lease(self, worker: str, timeout: Optional[float]
+               ) -> Optional[Tuple[Job, Chunk]]:
+        """Take the next chunk off the queue for ``worker`` (``None``
+        when the queue is empty).  A local pool slot passes no
+        ``timeout``: its lease never expires.  A chunk whose job has
+        ended is dropped on the way."""
+        while (chunk := self.queue.pop()) is not None:
+            job = self.jobs[chunk.job_id]
+            if job.terminal:
+                self._drop(chunk)
+                continue
+            chunk.lease(worker, timeout)
+            self._seen_workers.add(worker)
+            self._mark_started(job)
+            wait = max(0.0, chunk.started_wall - chunk.created_wall)
+            self.metrics.histogram(
+                "service.queue.wait_seconds", bounds=LATENCY_BOUNDS,
+                tenant=chunk.tenant).observe(wait)
+            self._server_event(job, SPAN, "queue.wait", "queue",
+                               chunk.created_wall, wait,
+                               chunk=chunk.chunk_id, tenant=chunk.tenant)
+            self.metrics.counter("service.chunks.leased").inc()
+            return job, chunk
+        return None
+
+    def _complete_chunk(self, chunk_id: str,
                         outcomes: List[Dict[str, Any]],
                         worker: str,
                         telemetry: Any = None) -> bool:
-        if chunk.state == "done":
+        """End a chunk with its executor's outcomes; ``False`` when the
+        chunk has already ended (a duplicate or late completion)."""
+        chunk = self.chunks.pop(chunk_id, None)
+        if chunk is None:
             self.metrics.counter("service.chunks.duplicate").inc()
             return False
         chunk.state = "done"
-        self.chunks.pop(chunk.chunk_id, None)
         self.metrics.counter("service.chunks.completed").inc()
-        job = self.jobs.get(chunk.job_id)
-        if job is None:
-            return False
+        job = self.jobs[chunk.job_id]
         if telemetry is not None:
             self._add_segment(job, telemetry)
         if chunk.started_wall:
@@ -762,137 +763,98 @@ class CampaignService:
                 continue
             returned.add(int(outcome["index"]))
             self._on_point_outcome(job, outcome)
+        if job.terminal:
+            # the keys of the points it did not return go to waiters
+            self._drop(chunk)
+            return True
         missing = [(index, params, attempt)
                    for index, params, attempt in chunk.tasks
                    if index not in returned
                    and job.records[index].status == "pending"]
-        if missing and not job.terminal:
-            requeued = Chunk(chunk_id=job.next_chunk_id(),
-                             job_id=job.id, tenant=chunk.tenant,
-                             priority=chunk.priority, tasks=missing,
-                             created_wall=time.time())
-            self._trace_chunk(job, requeued)
-            self.chunks[requeued.chunk_id] = requeued
-            self.queue.push(requeued, force=True)
+        if missing:
+            self._enqueue(job.make_chunks(missing, len(missing)))
             self.metrics.counter("service.chunks.requeued").inc()
-        self._observe_queue_depth()
-        self._wakeup()
         return True
 
-    def _observe_queue_depth(self) -> None:
-        self.metrics.gauge("queue.depth").set(self.queue.depth())
-        for tenant in {job.request.tenant
-                       for job in self.jobs.values()}:
-            self.metrics.gauge("queue.depth", tenant=tenant).set(
-                self.queue.depth(tenant))
-        # worker liveness: active leases per executor name (zeroing
-        # previously-seen workers so a vanished host reads 0, not its
-        # last value)
-        leases: Dict[str, int] = {}
-        for chunk in self.chunks.values():
-            if chunk.state == "leased" and chunk.worker:
-                leases[chunk.worker] = leases.get(chunk.worker, 0) + 1
-        self._seen_workers.update(leases)
-        for worker in self._seen_workers:
-            self.metrics.gauge("workers.active_leases",
-                               worker=worker).set(
-                leases.get(worker, 0))
-        self.metrics.gauge("workers.busy_local").set(self._local_busy)
+    def _drop(self, chunk: Chunk) -> None:
+        """End a chunk without outcomes, because its job has ended:
+        each key the job still leads goes to its first live waiter."""
+        chunk.state = "done"
+        self.chunks.pop(chunk.chunk_id, None)
+        job = self.jobs[chunk.job_id]
+        for index, _params, _attempt in chunk.tasks:
+            if self._leader.get(job.keys[index]) == (job.id, index):
+                self._promote(job.keys[index])
 
-    # ------------------------------------------------------------------
-    # local execution
-    # ------------------------------------------------------------------
-
-    def _local_capacity(self) -> int:
-        if self._pool is None:
-            return 0
-        return self.workers - self._local_busy
-
-    async def _dispatch_loop(self) -> None:
-        while not self._stopping.is_set():
-            while self._local_capacity() > 0:
-                chunk = self.queue.pop()
-                if chunk is None:
-                    break
-                self._start_local(chunk)
-            self._observe_queue_depth()
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=0.5)
-            except asyncio.TimeoutError:
-                pass
-
-    def _start_local(self, chunk: Chunk) -> None:
-        job = self.jobs.get(chunk.job_id)
-        if job is None or job.terminal:
-            chunk.state = "done"
-            self.chunks.pop(chunk.chunk_id, None)
+    def _promote(self, key: str) -> None:
+        """Make the first live waiter of ``key`` its leader and queue
+        that point; the others keep waiting.  With no live waiter the
+        key is released, store claim included."""
+        self._leader.pop(key, None)
+        live = [(job_id, index)
+                for job_id, index in self._waiters.pop(key, [])
+                if not (job := self.jobs[job_id]).terminal
+                and job.records[index].status == "pending"]
+        if not live:
+            if self.store is not None:
+                self.store.release(key, owner=self.owner)
             return
-        # local chunks never expire: the pool future completing (or
-        # breaking) is their lifecycle, not the lease reaper
-        chunk.state = "leased"
-        chunk.worker = "local"
-        chunk.started_wall = time.time()
-        self._mark_started(job)
-        self._record_queue_wait(job, chunk)
-        self._local_busy += 1
-        self.metrics.counter("service.chunks.leased").inc()
-        self._spawn(self._run_local(job, chunk))
-
-    async def _run_local(self, job: Job, chunk: Chunk) -> None:
-        telemetry = None
-        try:
-            if job.trace_context is not None:
-                traced = await self._loop.run_in_executor(
-                    self._pool, execute_chunk_traced, job.exec_ref,
-                    chunk.tasks, job.request.timeout,
-                    chunk.traceparent, "pool")
-                outcomes = traced["outcomes"]
-                telemetry = traced["telemetry"]
-            else:
-                outcomes = await self._loop.run_in_executor(
-                    self._pool, execute_chunk_by_ref, job.exec_ref,
-                    chunk.tasks, job.request.timeout)
-        except Exception as exc:
-            logger.exception("local pool failed on chunk %s",
-                             chunk.chunk_id)
-            # a broken pool poisons every future submission: rebuild it
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._make_pool()
-            outcomes = [
-                {"index": index, "attempt": attempt,
-                 "status": "failed", "metrics": {},
-                 "error": f"worker pool failure: "
-                          f"{type(exc).__name__}: {exc}",
-                 "failure_kind": "retryable", "diagnostic": None,
-                 "metrics_telemetry": None, "wall_time": 0.0}
-                for index, _params, attempt in chunk.tasks]
-        finally:
-            self._local_busy -= 1
-        self._complete_chunk(chunk, outcomes, worker="local",
-                             telemetry=telemetry)
+        job_id, index = live[0]
+        job = self.jobs[job_id]
+        if self.store is not None:
+            self.store.try_claim(key, self.owner)
+        self._leader[key] = (job_id, index)
+        if len(live) > 1:
+            self._waiters[key] = live[1:]
+        self._enqueue(job.make_chunks(
+            [(index, job.records[index].params, 1)], 1))
 
     # ------------------------------------------------------------------
-    # remote workers (pull-based work stealing)
+    # executors: local pool slots and remote pull-workers
     # ------------------------------------------------------------------
+
+    async def _pool_slot(self) -> None:
+        """One local executor: lease a chunk, run it on the fork pool,
+        complete it — what a remote worker does over HTTP."""
+        while True:
+            leased = self._lease("local", None)
+            if leased is None:
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            job, chunk = leased
+            pool = self._pool
+            try:
+                result = await self._loop.run_in_executor(
+                    pool, execute_chunk, job.exec_ref, chunk.tasks,
+                    job.request.timeout, chunk.traceparent, "pool")
+            except Exception as exc:
+                logger.exception("local pool failed on chunk %s",
+                                 chunk.chunk_id)
+                # a broken pool fails every future submitted to it: the
+                # first slot to see that rebuilds it, the others do not
+                if pool is self._pool:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._make_pool()
+                result = {"telemetry": None, "outcomes": [
+                    {"index": index, "attempt": attempt,
+                     "status": "failed", "metrics": {},
+                     "error": f"worker pool failure: "
+                              f"{type(exc).__name__}: {exc}",
+                     "failure_kind": "retryable", "diagnostic": None,
+                     "metrics_telemetry": None, "wall_time": 0.0}
+                    for index, _params, attempt in chunk.tasks]}
+            self._complete_chunk(chunk.chunk_id, result["outcomes"],
+                                 worker="local",
+                                 telemetry=result["telemetry"])
 
     async def _h_lease(self, request: Request) -> Response:
         payload = request.json()
-        worker = str(payload.get("worker") or "remote")
-        chunk = self.queue.pop()
-        if chunk is None:
+        leased = self._lease(str(payload.get("worker") or "remote"),
+                             self.lease_timeout)
+        if leased is None:
             return Response.no_content()
-        job = self.jobs.get(chunk.job_id)
-        if job is None or job.terminal:
-            chunk.state = "done"
-            self.chunks.pop(chunk.chunk_id, None)
-            return Response.no_content()
-        chunk.lease(worker, self.lease_timeout)
-        self._mark_started(job)
-        self._record_queue_wait(job, chunk)
-        self.metrics.counter("service.chunks.leased").inc()
-        self._observe_queue_depth()
+        job, chunk = leased
         return Response.json({
             "job_id": job.id,
             "chunk_id": chunk.chunk_id,
@@ -911,12 +873,9 @@ class CampaignService:
         if not chunk_id or not isinstance(outcomes, list):
             raise HttpError(400,
                             "complete needs chunk_id and outcomes[]")
-        chunk = self.chunks.get(str(chunk_id))
-        if chunk is None or chunk.state == "done":
-            self.metrics.counter("service.chunks.duplicate").inc()
-            return Response.json({"accepted": False})
         accepted = self._complete_chunk(
-            chunk, outcomes, worker=str(payload.get("worker") or "?"),
+            str(chunk_id), outcomes,
+            worker=str(payload.get("worker") or "?"),
             telemetry=payload.get("telemetry"))
         return Response.json({"accepted": accepted})
 
@@ -925,68 +884,33 @@ class CampaignService:
         while not self._stopping.is_set():
             await asyncio.sleep(cadence)
             now = time.monotonic()
-            for chunk in list(self.chunks.values()):
-                if chunk.worker == "local" or not chunk.expired(now):
-                    continue
-                job = self.jobs.get(chunk.job_id)
-                if job is None or job.terminal:
-                    chunk.state = "done"
-                    self.chunks.pop(chunk.chunk_id, None)
+            for chunk in [chunk for chunk in self.chunks.values()
+                          if chunk.expired(now)]:
+                if self.jobs[chunk.job_id].terminal:
+                    self._drop(chunk)
                     continue
                 logger.warning(
                     "lease expired on chunk %s (worker %s); "
                     "re-queueing", chunk.chunk_id, chunk.worker)
                 chunk.requeue()
-                self.queue.push(chunk, force=True)
+                self._enqueue([chunk])
                 self.metrics.counter("service.chunks.requeued").inc()
-                self._wakeup()
 
     async def _external_poll_loop(self) -> None:
-        """Resolve points claimed by *other* service processes sharing
-        the store: adopt their published results, or take over keys
-        whose claim went stale without a publication."""
+        """Resolve keys waited on here but led by *another* service
+        process sharing the store: adopt its published result, or
+        promote a waiter once its claim is gone without one."""
         while not self._stopping.is_set():
             await asyncio.sleep(EXTERNAL_POLL_SECONDS)
-            for key in list(self._external):
+            for key in [key for key in self._waiters
+                        if key not in self._leader]:
                 hit = self.store.get(key)
                 if hit is not None and hit.status == "ok":
-                    for job_id, index in self._external.pop(key, []):
-                        job = self.jobs.get(job_id)
-                        if job is not None and not job.terminal:
-                            self._finalize_from_record(
-                                job, index, hit, source="cached")
-                    continue
-                if self.store.claimed_elsewhere(key, self.owner):
-                    continue  # still being computed elsewhere
-                waiters = self._external.pop(key, [])
-                self._promote(key, waiters)
-
-    def _promote(self, key: str,
-                 waiters: List[Tuple[str, int]]) -> None:
-        """Make the first live waiter the leader of ``key`` and queue
-        its point; remaining waiters become followers."""
-        live = [(job_id, index) for job_id, index in waiters
-                if (job := self.jobs.get(job_id)) is not None
-                and not job.terminal
-                and job.records[index].status == "pending"]
-        if not live:
-            return
-        job_id, index = live[0]
-        job = self.jobs[job_id]
-        if self.store is not None:
-            self.store.try_claim(key, self.owner)
-        self._leader[key] = (job_id, index)
-        if len(live) > 1:
-            self._followers.setdefault(key, []).extend(live[1:])
-        chunk = Chunk(chunk_id=job.next_chunk_id(), job_id=job_id,
-                      tenant=job.request.tenant,
-                      priority=job.request.priority,
-                      tasks=[(index, job.records[index].params, 1)],
-                      created_wall=time.time())
-        self._trace_chunk(job, chunk)
-        self.chunks[chunk.chunk_id] = chunk
-        self.queue.push(chunk, force=True)
-        self._wakeup()
+                    for job_id, index in self._waiters.pop(key):
+                        self._finalize_point(self.jobs[job_id], index,
+                                             hit, "cached")
+                elif not self.store.claimed_elsewhere(key, self.owner):
+                    self._promote(key)
 
     # ------------------------------------------------------------------
     # status / stream / results / cancel
@@ -1018,39 +942,15 @@ class CampaignService:
         return Response.json(job.status())
 
     def _cancel(self, job: Job) -> None:
+        """Discard the job's queued chunks, end it, then drop its
+        unleased chunks.  Leased chunks run on: their results still
+        serve other jobs' waiters and the store."""
         self.queue.discard_job(job.id)
-        in_flight_indices = set()
-        for chunk in list(self.chunks.values()):
-            if chunk.job_id != job.id:
-                continue
-            if chunk.state == "leased":
-                # let it finish: its result still serves followers and
-                # the shared store; the cancelled job ignores it
-                in_flight_indices.update(
-                    index for index, _p, _a in chunk.tasks)
-            else:
-                chunk.cancelled = True
-                chunk.state = "done"
-                self.chunks.pop(chunk.chunk_id, None)
-        # re-home or release this job's undispatched leaderships
-        for key, (owner_job, index) in list(self._leader.items()):
-            if owner_job != job.id or index in in_flight_indices:
-                continue
-            del self._leader[key]
-            waiters = self._followers.pop(key, [])
-            if waiters:
-                self._promote(key, waiters)
-            elif self.store is not None:
-                self.store.release(key, owner=self.owner)
-        # drop this job's follower/external registrations
-        for table in (self._followers, self._external):
-            for key in list(table):
-                table[key] = [(jid, idx) for jid, idx in table[key]
-                              if jid != job.id]
-                if not table[key]:
-                    del table[key]
         self._finish_job(job, state=CANCELLED)
-        self._observe_queue_depth()
+        for chunk in [chunk for chunk in self.chunks.values()
+                      if chunk.job_id == job.id
+                      and chunk.state == "queued"]:
+            self._drop(chunk)
 
     async def _h_stream(self, request: Request,
                         job_id: str) -> StreamingResponse:

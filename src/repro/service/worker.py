@@ -24,7 +24,7 @@ import uuid
 from typing import Optional
 
 from .client import ServiceClient, ServiceError
-from .jobs import execute_chunk_by_ref, execute_chunk_traced
+from .jobs import execute_chunk
 
 logger = logging.getLogger(__name__)
 
@@ -71,24 +71,15 @@ def run_worker(url: str, worker_id: Optional[str] = None,
             time.sleep(poll)
             continue
         idle_since = None
-        tasks = [tuple(task) for task in lease["tasks"]]
-        traceparent = lease.get("traceparent")
-        if traceparent:
-            # traced lease: run through the telemetry-collecting entry
-            # and ship the spans/metrics segment back with the results
-            traced = execute_chunk_traced(
-                lease["spec"], tasks, lease.get("timeout"),
-                traceparent=traceparent, worker=worker)
-            outcomes = traced["outcomes"]
-            telemetry = traced["telemetry"]
-        else:
-            outcomes = execute_chunk_by_ref(
-                lease["spec"], tasks, lease.get("timeout"))
-            telemetry = None
+        executed = execute_chunk(
+            lease["spec"], [tuple(task) for task in lease["tasks"]],
+            lease.get("timeout"), traceparent=lease.get("traceparent"),
+            worker=worker)
         try:
             result = client.complete(worker, lease["job_id"],
-                                     lease["chunk_id"], outcomes,
-                                     telemetry=telemetry)
+                                     lease["chunk_id"],
+                                     executed["outcomes"],
+                                     telemetry=executed["telemetry"])
             if not result.get("accepted"):
                 logger.info("chunk %s already completed elsewhere",
                             lease["chunk_id"])

@@ -13,7 +13,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.campaign import Campaign, Sweep
+from repro.campaign import Campaign, FixedPoints, Sweep
 from repro.core import Module, Simulator
 from repro.core.time import SimTime
 from repro.tdf import TdfModule, TdfOut
@@ -93,6 +93,21 @@ CRASHY = Campaign(
     run=_crashy_run,
     root_seed=606,
     code_version="svc-crashy-1",
+)
+
+
+def _dup_run(params):
+    return {"y": params["x"] * 2.0}
+
+
+# no seed is planned into the params, so the two x == 1 points share a
+# cache key: the job dedups against itself
+DUP = Campaign(
+    name="dup",
+    space=FixedPoints([{"x": 1}, {"x": 1}, {"x": 2}]),
+    run=_dup_run,
+    seed_key=None,
+    code_version="svc-dup-1",
 )
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import http.client
 import json
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SharedResultStore,
-    execute_chunk_by_ref,
+    execute_chunk,
     run_worker,
     start_in_thread,
 )
@@ -118,15 +119,6 @@ class TestFairShareQueue:
         queue.push(make_chunk("c2", "a", points=3), force=True)
         assert queue.depth() == 6
 
-    def test_pop_skips_cancelled_chunks(self):
-        queue = FairShareQueue()
-        cancelled = make_chunk("dead", "a")
-        cancelled.cancelled = True
-        queue.push(cancelled)
-        queue.push(make_chunk("live", "a"))
-        assert queue.pop().chunk_id == "live"
-        assert queue.pop() is None
-
     def test_discard_job_removes_only_that_job(self):
         queue = FairShareQueue()
         queue.push(make_chunk("c1", "a", points=2, job_id="j1"))
@@ -221,7 +213,7 @@ def test_execute_chunk_by_ref_runs_points():
 
     records = plan_records(campaign)
     tasks = [(r.index, r.params, 1) for r in records[:3]]
-    outcomes = execute_chunk_by_ref(ref("quick"), tasks, None)
+    outcomes = execute_chunk(ref("quick"), tasks, None)["outcomes"]
     assert [o["index"] for o in outcomes] == [0, 1, 2]
     for outcome, record in zip(outcomes, records):
         assert outcome["status"] == "ok"
@@ -506,9 +498,9 @@ def test_duplicate_chunk_completion_is_dropped():
     with serve(workers=0) as (_, client):
         job = client.submit(ref("quick"), chunk_size=8)
         lease = client.lease("w1")
-        outcomes = execute_chunk_by_ref(
+        outcomes = execute_chunk(
             lease["spec"], [tuple(task) for task in lease["tasks"]],
-            lease.get("timeout"))
+            lease.get("timeout"))["outcomes"]
         first = client.complete("w1", lease["job_id"],
                                 lease["chunk_id"], outcomes)
         assert first["accepted"]
@@ -700,10 +692,10 @@ class TestFleetObservability:
                                 observe=False)
             lease = client.lease("w1")
             assert lease.get("traceparent") is None
-            outcomes = execute_chunk_by_ref(
+            outcomes = execute_chunk(
                 lease["spec"],
                 [tuple(task) for task in lease["tasks"]],
-                lease.get("timeout"))
+                lease.get("timeout"))["outcomes"]
             client.complete("w1", lease["job_id"],
                             lease["chunk_id"], outcomes)
             client.wait(job["id"], timeout=10)
@@ -794,6 +786,24 @@ def test_local_pool_crash_is_retried(tmp_path, monkeypatch, workers):
             "service.points.retried"] >= 1
 
 
+def test_pool_slots_share_the_queue(tmp_path):
+    """More pool slots than cores on one-point chunks of several jobs:
+    every point runs exactly once, and no idle slot misses work."""
+    with serve(workers=4, store_dir=tmp_path / "store") as (_, client):
+        seeds = [None, 11, 12, None]
+        jobs = [client.submit(ref("quick"), tenant=f"t{i}", chunk_size=1,
+                              root_seed=seed)
+                for i, seed in enumerate(seeds)]
+        done = [client.wait(job["id"], timeout=30) for job in jobs]
+        assert [status["state"] for status in done] == ["done"] * 4
+        assert sum(status["executed"] for status in done) == 24
+        assert client.metrics()["counters"][
+            "service.points.executed"] == 24
+        for job, seed in zip(jobs, seeds):
+            assert client.results(job["id"])["fingerprint"] \
+                == serial_fingerprint("quick", root_seed=seed)
+
+
 def test_two_services_share_one_store(tmp_path):
     """Two service processes on one store dedup through its claims."""
     store = tmp_path / "store"
@@ -835,3 +845,54 @@ def test_two_services_share_one_store(tmp_path):
         assert done_b["executed"] == 8
         assert client_b.results(job_b["id"])["fingerprint"] \
             == serial_fingerprint("quick", root_seed=7)
+
+
+# ---------------------------------------------------------------------------
+# Cancellation never strands another job's waiting points
+# ---------------------------------------------------------------------------
+
+
+def drain_until_done(handle, client, job_id, timeout=10.0):
+    """Run a pull-worker thread until ``job_id`` ends; its status."""
+    stop = threading.Event()
+    worker = threading.Thread(
+        target=run_worker, args=(handle.url,),
+        kwargs={"worker_id": "drain", "poll": 0.05,
+                "stop_when": stop.is_set}, daemon=True)
+    worker.start()
+    try:
+        return client.wait(job_id, timeout=timeout)
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+
+def test_cancel_with_duplicate_points_hands_keys_to_other_job():
+    """A cancelled job's own duplicate point must not inherit the key
+    it led: the other job's waiting points take it over."""
+    with serve(workers=0) as (handle, client):
+        job_a = client.submit(ref("dup"))
+        job_b = client.submit(ref("dup"))
+        assert client.cancel(job_a["id"])["state"] == "cancelled"
+        done = drain_until_done(handle, client, job_b["id"])
+        assert done["state"] == "done"
+        assert done["ok"] == 3
+        assert done["executed"] + done["deduped"] == 3
+
+
+def test_lost_lease_of_cancelled_job_hands_keys_to_other_job():
+    """A cancelled job's leased chunk runs on for the jobs waiting on
+    it; when its lease is lost instead, they take its keys over."""
+    with serve(workers=0, lease_timeout=0.3) as (handle, client):
+        job_a = client.submit(ref("quick"), chunk_size=8)
+        job_b = client.submit(ref("quick"), chunk_size=8)
+        crashed = client.lease("crasher")
+        assert crashed["job_id"] == job_a["id"]
+        assert client.cancel(job_a["id"])["state"] == "cancelled"
+        time.sleep(0.8)  # past the crasher's lease
+        done = drain_until_done(handle, client, job_b["id"])
+        assert done["state"] == "done"
+        assert done["executed"] == 8
+        assert client.results(job_b["id"])["fingerprint"] \
+            == serial_fingerprint("quick")
