@@ -8,7 +8,11 @@ multi-tenant service:
 
 * :class:`~repro.service.server.CampaignService` — asyncio HTTP API:
   submit / status / stream / cancel / results / metrics, plus the
-  pull-based worker plane (``/v1/workers/lease`` + ``complete``);
+  pull-based worker plane (``/v1/workers/lease`` + ``complete``), which
+  remote workers use exactly as the local pool slots lease and
+  complete chunks in-process;
+* :func:`~repro.service.jobs.execute_chunk` — the one executor entry
+  point, run by pool slots and remote workers alike;
 * :class:`~repro.service.queue.FairShareQueue` — priority lanes under
   weighted round-robin across tenants, with bounded-depth
   backpressure;
