@@ -695,8 +695,7 @@ class CampaignService:
             self.metrics.gauge("queue.depth", tenant=tenant).set(
                 self.queue.depth(tenant))
         # worker liveness: active leases per executor name, local pool
-        # slots included (every worker that ever leased is reported, so
-        # a vanished host reads 0, not its last value)
+        # slots included
         leases: Dict[str, int] = {}
         for chunk in self.chunks.values():
             if chunk.state == "leased":
@@ -783,8 +782,9 @@ class CampaignService:
         self.chunks.pop(chunk.chunk_id, None)
         job = self.jobs[chunk.job_id]
         for index, _params, _attempt in chunk.tasks:
-            if self._leader.get(job.keys[index]) == (job.id, index):
-                self._promote(job.keys[index])
+            key = job.keys[index]
+            if self._leader.get(key) == (job.id, index):
+                self._promote(key)
 
     def _promote(self, key: str) -> None:
         """Make the first live waiter of ``key`` its leader and queue
