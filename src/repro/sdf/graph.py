@@ -11,15 +11,153 @@ admit a smallest positive integer solution — the *repetition vector* —
 whenever the graph is rate-consistent, and a finite static schedule
 (a periodic admissible sequential schedule, PASS) can be constructed by
 symbolic execution.
+
+The analysis itself — :func:`solve_balance`, :func:`simulate_tokens`
+and :func:`zero_delay_cycles` — works on plain ``(src, produce, dst,
+consume, tokens)`` edge tuples over any hashable nodes, so the same
+code serves :class:`SdfGraph`, TDF cluster elaboration and the static
+verifier.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 from ..core.errors import ElaborationError, SchedulingError
+
+#: ``(src, produce, dst, consume, tokens)``: ``src`` produces
+#: ``produce`` tokens per firing onto an edge holding ``tokens``
+#: initial tokens, of which ``dst`` consumes ``consume`` per firing.
+PlainEdge = tuple[Hashable, int, Hashable, int, int]
+
+
+def solve_balance(nodes: Sequence[Hashable], edges: Sequence[PlainEdge]
+                  ) -> tuple[dict, list]:
+    """Solve the balance equations ``r[src] * produce == r[dst] *
+    consume`` by traversal from each unvisited node in ``nodes`` order.
+
+    Returns ``(repetitions, conflicts)``: the smallest positive integer
+    firing count per node, and every ``(node, ratio, implied)`` where
+    the traversal reached ``node`` with a second relative firing rate,
+    in traversal order.  ``repetitions`` is empty when any conflict
+    exists.
+    """
+    ratio: dict = {node: None for node in nodes}
+    adjacency: dict = {node: [] for node in nodes}
+    for src, produce, dst, consume, _tokens in edges:
+        factor = Fraction(produce, consume)
+        adjacency[src].append((dst, factor))
+        adjacency[dst].append((src, 1 / factor))
+    conflicts = []
+    for seed in nodes:
+        if ratio[seed] is not None:
+            continue
+        ratio[seed] = Fraction(1)
+        stack = [seed]
+        while stack:
+            node = stack.pop()
+            for neighbor, factor in adjacency[node]:
+                implied = ratio[node] * factor
+                if ratio[neighbor] is None:
+                    ratio[neighbor] = implied
+                    stack.append(neighbor)
+                elif ratio[neighbor] != implied:
+                    conflicts.append((neighbor, ratio[neighbor], implied))
+    if conflicts:
+        return {}, conflicts
+    scale = lcm(*(value.denominator for value in ratio.values()))
+    counts = {node: int(value * scale) for node, value in ratio.items()}
+    divisor = gcd(*counts.values())
+    return {node: count // divisor for node, count in counts.items()}, []
+
+
+def simulate_tokens(nodes: Sequence[Hashable], edges: Sequence[PlainEdge],
+                    firings: dict) -> tuple[list, list, list]:
+    """Greedy token simulation of a rate-consistent graph.
+
+    Sweeps ``nodes`` in order, firing each node as often in a row as its
+    input tokens and its remaining count (``firings[node]`` in all)
+    allow, until every node is done or no node can fire.  Returns
+    ``(entries, stuck, peak)``:
+
+    * ``entries`` — ``(node, run_length, fusable)`` per run of
+      consecutive firings; ``fusable`` is True when every input edge
+      held the run's whole demand before the run (a block call that
+      reads its input up front is then legal);
+    * ``stuck`` — the nodes left with firings to do (a deadlock), in
+      ``nodes`` order;
+    * ``peak`` — each edge's peak token occupancy, by edge position.
+
+    A run is fired in one step: its length is the smallest
+    ``tokens // consume`` over input edges from other nodes.  A
+    self-loop edge has ``produce == consume`` on a rate-consistent
+    graph, so its token count never changes and it only decides whether
+    the node fires at all.
+    """
+    tokens = [edge[4] for edge in edges]
+    peak = list(tokens)
+    remaining = dict(firings)
+    inputs_of: dict = {node: [] for node in nodes}
+    outputs_of: dict = {node: [] for node in nodes}
+    for k, (src, produce, dst, consume, _tokens) in enumerate(edges):
+        inputs_of[dst].append((k, consume, src == dst))
+        if src != dst:
+            outputs_of[src].append((k, produce))
+    entries: list = []
+    progress = True
+    while progress and any(remaining.values()):
+        progress = False
+        for node in nodes:
+            fired = remaining[node]
+            for k, consume, loop in inputs_of[node]:
+                if not loop:
+                    fired = min(fired, tokens[k] // consume)
+                elif tokens[k] < consume:
+                    fired = 0
+            if not fired:
+                continue
+            progress = True
+            remaining[node] -= fired
+            fusable = True
+            for k, consume, loop in inputs_of[node]:
+                fusable = fusable and tokens[k] >= fired * consume
+                if not loop:
+                    tokens[k] -= fired * consume
+            for k, produce in outputs_of[node]:
+                tokens[k] += fired * produce
+                peak[k] = max(peak[k], tokens[k])
+            entries.append((node, fired, fusable))
+    stuck = [node for node in nodes if remaining[node]]
+    return entries, stuck, peak
+
+
+def dependency_graph(nodes: Sequence[Hashable], edges: Sequence[PlainEdge],
+                     name: Callable[[Any], str]):
+    """The node dependency digraph over ``name(node)`` labels: the
+    edges lacking the initial tokens one ``dst`` firing needs, as a
+    networkx DiGraph."""
+    import networkx as nx
+
+    digraph = nx.DiGraph()
+    for node in nodes:
+        digraph.add_node(name(node))
+    for src, _produce, dst, consume, tokens in edges:
+        if tokens < consume:
+            digraph.add_edge(name(src), name(dst))
+    return digraph
+
+
+def zero_delay_cycles(nodes: Sequence[Hashable],
+                      edges: Sequence[PlainEdge],
+                      name: Callable[[Any], str]) -> list[list[str]]:
+    """Cycles of the :func:`dependency_graph`, each as sorted labels —
+    the structural cause of scheduling deadlocks."""
+    import networkx as nx
+
+    return [sorted(cycle) for cycle in
+            nx.simple_cycles(dependency_graph(nodes, edges, name))]
 
 
 class Actor:
@@ -137,7 +275,11 @@ class SdfGraph:
         self._schedule = None
         return edge
 
-    # -- rate analysis --------------------------------------------------------
+    # -- rate analysis and scheduling ------------------------------------------
+
+    def _plain_edges(self) -> list[PlainEdge]:
+        return [(e.src, e.produce_rate, e.dst, e.consume_rate,
+                 len(e.initial_tokens)) for e in self.edges]
 
     def repetition_vector(self) -> dict[Actor, int]:
         """Solve the balance equations.
@@ -146,44 +288,23 @@ class SdfGraph:
         Raises :class:`SchedulingError` if the graph is rate-inconsistent
         (the equations only admit the zero solution).
         """
-        if not self.actors:
-            return {}
-        ratio: dict[Actor, Optional[Fraction]] = {a: None for a in self.actors}
-        adjacency: dict[Actor, list[tuple[Actor, Fraction]]] = {
-            a: [] for a in self.actors
-        }
-        for edge in self.edges:
-            factor = Fraction(edge.produce_rate, edge.consume_rate)
-            adjacency[edge.src].append((edge.dst, factor))
-            adjacency[edge.dst].append((edge.src, 1 / factor))
-        for seed in self.actors:
-            if ratio[seed] is not None:
-                continue
-            ratio[seed] = Fraction(1)
-            stack = [seed]
-            while stack:
-                actor = stack.pop()
-                for neighbor, factor in adjacency[actor]:
-                    implied = ratio[actor] * factor
-                    if ratio[neighbor] is None:
-                        ratio[neighbor] = implied
-                        stack.append(neighbor)
-                    elif ratio[neighbor] != implied:
-                        raise SchedulingError(
-                            f"graph {self.name!r} is rate-inconsistent at "
-                            f"actor {neighbor.name!r}: {ratio[neighbor]} vs "
-                            f"{implied}"
-                        )
-        denominator_lcm = 1
-        for value in ratio.values():
-            denominator_lcm = _lcm(denominator_lcm, value.denominator)
-        counts = {a: int(r * denominator_lcm) for a, r in ratio.items()}
-        overall_gcd = 0
-        for count in counts.values():
-            overall_gcd = gcd(overall_gcd, count)
-        return {a: c // overall_gcd for a, c in counts.items()}
+        repetitions, conflicts = solve_balance(self.actors,
+                                               self._plain_edges())
+        if conflicts:
+            actor, ratio, implied = conflicts[0]
+            raise SchedulingError(
+                f"graph {self.name!r} is rate-inconsistent at "
+                f"actor {actor.name!r}: {ratio} vs {implied}"
+            )
+        return repetitions
 
-    # -- scheduling ------------------------------------------------------------
+    def token_run(self) -> tuple[list, list[Actor], list[int]]:
+        """Token-simulate one schedule period without touching the
+        graph: ``(entries, stuck, peak)`` as :func:`simulate_tokens`
+        returns them.  Raises :class:`SchedulingError` if the graph is
+        rate-inconsistent."""
+        return simulate_tokens(self.actors, self._plain_edges(),
+                               self.repetition_vector())
 
     def schedule(self) -> list[Actor]:
         """Construct a PASS by symbolic execution of token counts.
@@ -193,61 +314,30 @@ class SdfGraph:
         """
         if self._schedule is not None:
             return self._schedule
-        repetitions = self.repetition_vector()
-        counts = {id(e): len(e.initial_tokens) for e in self.edges}
-        remaining = dict(repetitions)
-        inputs_of: dict[Actor, list[Edge]] = {a: [] for a in self.actors}
-        outputs_of: dict[Actor, list[Edge]] = {a: [] for a in self.actors}
-        for edge in self.edges:
-            inputs_of[edge.dst].append(edge)
-            outputs_of[edge.src].append(edge)
-        order: list[Actor] = []
-        progress = True
-        while progress and any(remaining.values()):
-            progress = False
-            for actor in self.actors:
-                while remaining[actor] > 0 and all(
-                    counts[id(e)] >= e.consume_rate for e in inputs_of[actor]
-                ):
-                    for e in inputs_of[actor]:
-                        counts[id(e)] -= e.consume_rate
-                    for e in outputs_of[actor]:
-                        counts[id(e)] += e.produce_rate
-                    remaining[actor] -= 1
-                    order.append(actor)
-                    progress = True
-        if any(remaining.values()):
-            stuck = [a.name for a, r in remaining.items() if r > 0]
+        entries, stuck, _peak = self.token_run()
+        if stuck:
             cycles = self.zero_delay_cycles()
             hint = (f"; zero-delay cycles needing initial tokens: "
                     f"{cycles}" if cycles else "")
             raise SchedulingError(
                 f"graph {self.name!r} deadlocks; actors never fired to "
-                f"completion: {stuck}{hint}"
+                f"completion: {[a.name for a in stuck]}{hint}"
             )
-        self._schedule = order
-        return order
+        self._schedule = [actor for actor, count, _fusable in entries
+                          for _ in range(count)]
+        return self._schedule
 
     def dependency_graph(self):
         """The actor-level dependency digraph (edges lacking enough
         initial tokens to satisfy one firing), as a networkx DiGraph."""
-        import networkx as nx
-
-        digraph = nx.DiGraph()
-        for actor in self.actors:
-            digraph.add_node(actor.name)
-        for edge in self.edges:
-            if len(edge.initial_tokens) < edge.consume_rate:
-                digraph.add_edge(edge.src.name, edge.dst.name)
-        return digraph
+        return dependency_graph(self.actors, self._plain_edges(),
+                                _actor_name)
 
     def zero_delay_cycles(self) -> list[list[str]]:
         """Actor-name cycles with insufficient initial tokens — the
         structural cause of scheduling deadlocks."""
-        import networkx as nx
-
-        return [sorted(cycle) for cycle in
-                nx.simple_cycles(self.dependency_graph())]
+        return zero_delay_cycles(self.actors, self._plain_edges(),
+                                 _actor_name)
 
     # -- execution --------------------------------------------------------------
 
@@ -293,5 +383,5 @@ class SdfGraph:
         }
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _actor_name(actor: Actor) -> str:
+    return actor.name

@@ -1,8 +1,8 @@
-"""TDF cluster discovery, rate analysis, timestep propagation, static
-scheduling, and runtime execution.
+"""TDF cluster discovery, static analysis, and runtime execution.
 
 A *cluster* is a maximal set of TDF modules connected through TDF
-signals.  Elaboration performs, in order:
+signals.  Its static analysis (free of side effects) performs, in
+order:
 
 1. **Rate analysis** — the SDF balance equations over port rates yield
    each module's repetition count per cluster period.
@@ -13,8 +13,16 @@ signals.  Elaboration performs, in order:
    number of time ticks.
 3. **Static scheduling** — a PASS is constructed by symbolic execution
    honouring port delays as initial tokens; failure means deadlock.
-4. **Consistent initialization** — signals are primed with delay
-   samples and every module's ``initialize`` hook runs before time 0.
+
+Each stage records its findings instead of raising, and later stages run
+only when their inputs exist, so the static verifier reports every
+finding of a cluster it builds and analyzes without elaborating.
+Elaboration runs the same analysis and raises the first finding;
+otherwise it assigns the timesteps and performs **consistent
+initialization**: signals are primed with delay samples and every
+module's ``initialize`` hook runs before time 0.  The balance equations
+and the token simulation are :mod:`repro.sdf.graph`'s, shared with
+:class:`~repro.sdf.SdfGraph`.
 
 At runtime each cluster is one kernel thread waking once per cluster
 period: it samples the DE converter inputs, executes a full schedule
@@ -35,8 +43,6 @@ number of executed periods matches the scalar wake-up count exactly.
 from __future__ import annotations
 
 import time as _time
-from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from ..core.errors import (
@@ -46,7 +52,9 @@ from ..core.errors import (
 )
 from ..core.process import THREAD, Process
 from ..core.time import SimTime
+from ..sdf.graph import simulate_tokens, solve_balance, zero_delay_cycles
 from .module import TdfDeIn, TdfDeOut, TdfModule
+from .signal import TdfSignal
 
 
 class TdfRegistry:
@@ -107,7 +115,12 @@ def _discover_clusters(modules: list[TdfModule]) -> list[list[TdfModule]]:
 
 
 class TdfCluster:
-    """One synchronized group of TDF modules."""
+    """One synchronized group of TDF modules.
+
+    :meth:`analyze` runs its static analysis (see the module docstring):
+    the static verifier reads the findings, and :meth:`elaborate` runs
+    it and raises the first of them.
+    """
 
     def __init__(self, name: str, modules: list[TdfModule],
                  block_mode: bool = True, batch: int = 16,
@@ -136,8 +149,6 @@ class TdfCluster:
                                         module=module.full_name())
                 for module in modules}
         self.period: Optional[SimTime] = None
-        self.repetitions: dict[int, int] = {}
-        self.schedule: list[TdfModule] = []
         self.epoch_ticks = 0
         self.period_count = 0
         self.block_mode = block_mode
@@ -150,106 +161,78 @@ class TdfCluster:
         self._batch_safe = False
         #: the kernel this cluster was installed on (set by install()).
         self._kernel = None
-        self._signals: list = []
-        self._de_inputs: list[TdfDeIn] = []
-        self._de_outputs: list[TdfDeOut] = []
         #: set by restore_state(): the period at checkpoint time already
         #: executed before the snapshot, so the resumed driver must sleep
         #: one period before its first execute_period().
         self._skip_first_period = False
-
-    # -- elaboration ------------------------------------------------------------
-
-    def elaborate(self) -> None:
-        self._collect_endpoints()
-        self._check_bindings()
-        self._solve_rates()
-        self._propagate_timesteps()
-        self._build_schedule()
-        self._batch_safe = (
-            self.batch > 1
-            and not self._de_inputs
-            and not self._de_outputs
-            and not any(m.batch_unsafe or m.de_coupled()
-                        for m in self.modules)
-        )
-        for signal in self._signals:
-            signal.prime()
-        for module in self.modules:
-            module._cluster = self
-            module._telemetry = self.telemetry
-        for module in self.modules:
-            module.initialize()
-
-    def _collect_endpoints(self) -> None:
+        self.signals: list[TdfSignal] = []
+        self.de_inputs: list[TdfDeIn] = []
+        self.de_outputs: list[TdfDeOut] = []
         seen: set[int] = set()
-        for module in self.modules:
+        for module in modules:
             for port in module.tdf_ports():
                 if port.signal is not None and id(port.signal) not in seen:
                     seen.add(id(port.signal))
-                    self._signals.append(port.signal)
+                    self.signals.append(port.signal)
             for converter in module.converter_ports():
                 if isinstance(converter, TdfDeIn):
-                    self._de_inputs.append(converter)
+                    self.de_inputs.append(converter)
                 else:
-                    self._de_outputs.append(converter)
+                    self.de_outputs.append(converter)
 
-    def _check_bindings(self) -> None:
-        for module in self.modules:
-            for port in module.tdf_ports():
-                port._check_bound()
-        for signal in self._signals:
-            if signal.writer is None:
-                raise ElaborationError(
-                    f"TDF signal {signal.name!r} has no writer"
-                )
+    # -- static analysis -------------------------------------------------------
 
-    def _edges(self):
-        """(writer_module, w_rate, reader_module, r_rate, initial_tokens)."""
-        for signal in self._signals:
-            writer = signal.writer
-            for reader in signal.readers:
-                yield (writer.module, writer.rate, reader.module,
-                       reader.rate, writer.delay + reader.delay,
-                       writer, reader)
-
-    def _solve_rates(self) -> None:
-        ratio: dict[int, Optional[Fraction]] = {
-            id(m): None for m in self.modules
-        }
-        adjacency: dict[int, list[tuple[int, Fraction]]] = {
-            id(m): [] for m in self.modules
-        }
-        for w_mod, w_rate, r_mod, r_rate, _d, _wp, _rp in self._edges():
-            factor = Fraction(w_rate, r_rate)
-            adjacency[id(w_mod)].append((id(r_mod), factor))
-            adjacency[id(r_mod)].append((id(w_mod), 1 / factor))
-        names = {id(m): m.full_name() for m in self.modules}
-        for module in self.modules:
-            if ratio[id(module)] is not None:
-                continue
-            ratio[id(module)] = Fraction(1)
-            stack = [id(module)]
-            while stack:
-                node = stack.pop()
-                for neighbor, factor in adjacency[node]:
-                    implied = ratio[node] * factor
-                    if ratio[neighbor] is None:
-                        ratio[neighbor] = implied
-                        stack.append(neighbor)
-                    elif ratio[neighbor] != implied:
-                        raise SchedulingError(
-                            f"TDF cluster {self.name!r} is "
-                            f"rate-inconsistent at {names[neighbor]!r}"
-                        )
-        lcm = 1
-        for value in ratio.values():
-            lcm = lcm * value.denominator // gcd(lcm, value.denominator)
-        counts = {key: int(r * lcm) for key, r in ratio.items()}
-        overall = 0
-        for count in counts.values():
-            overall = gcd(overall, count)
-        self.repetitions = {key: c // overall for key, c in counts.items()}
+    def analyze(self) -> None:
+        """Run the static analysis, free of side effects; it records its
+        findings below (each call starts afresh)."""
+        #: fully bound, positively rated connections as plain
+        #: ``(writer module, rate, reader module, rate, delay)`` edges;
+        #: partially wired or ill-rated ports are the verifier's
+        #: TDF001/TDF002/TDF010 findings and elaboration's binding errors.
+        self._edges = [
+            (signal.writer.module, signal.writer.rate, reader.module,
+             reader.rate, signal.writer.delay + reader.delay)
+            for signal in self.signals
+            if signal.writer is not None
+            and signal.writer.module is not None
+            and signal.writer.rate >= 1
+            for reader in signal.readers
+            if reader.module is not None and reader.rate >= 1]
+        #: (module full name, detail) balance-equation conflicts.
+        self.rate_conflicts: list[tuple[str, str]] = []
+        #: repetition counts per module id; empty when rates conflict.
+        self.repetitions: dict[int, int] = {}
+        #: (location, detail) timestep constraint conflicts.
+        self.timestep_conflicts: list[tuple[str, str]] = []
+        #: True when no module or port requested any timestep.
+        self.timestep_missing = False
+        #: resolved cluster period in ticks; None when unknown.
+        self.period_ticks: Optional[int] = None
+        #: (location, detail) period/rate divisibility failures.
+        self.divisibility_errors: list[tuple[str, str]] = []
+        #: per-module resolved timestep ticks, by module id.
+        self.module_timestep_ticks: dict[int, int] = {}
+        #: full names of the modules the schedule never completes.
+        self.deadlocked: list[str] = []
+        #: zero-delay dependency cycles (lists of module full names).
+        self.cycles: list[list[str]] = []
+        repetitions, conflicts = solve_balance(self.modules, self._edges)
+        if conflicts:
+            self.rate_conflicts = [
+                (module.full_name(), f"balance equations imply both "
+                                     f"{ratio} and {implied} relative "
+                                     f"firings")
+                for module, ratio, implied in conflicts]
+            return
+        self.repetitions = {id(m): count
+                            for m, count in repetitions.items()}
+        self._propagate_timesteps()
+        _entries, stuck, _peak = simulate_tokens(self.modules, self._edges,
+                                                 repetitions)
+        if stuck:
+            self.deadlocked = [module.full_name() for module in stuck]
+            self.cycles = zero_delay_cycles(self.modules, self._edges,
+                                            TdfModule.full_name)
 
     def _propagate_timesteps(self) -> None:
         period_ticks: Optional[int] = None
@@ -257,12 +240,10 @@ class TdfCluster:
         for module in self.modules:
             constraints: list[tuple[int, str]] = []
             if module.requested_timestep is not None:
-                constraints.append((
-                    module.requested_timestep.ticks,
-                    module.full_name(),
-                ))
+                constraints.append((module.requested_timestep.ticks,
+                                    module.full_name()))
             for port in module.tdf_ports():
-                if port.requested_timestep is not None:
+                if port.requested_timestep is not None and port.rate >= 1:
                     constraints.append((
                         port.requested_timestep.ticks * port.rate,
                         port.full_name(),
@@ -272,108 +253,114 @@ class TdfCluster:
                 if period_ticks is None:
                     period_ticks, origin = candidate, name
                 elif period_ticks != candidate:
-                    raise ElaborationError(
-                        f"inconsistent timesteps in cluster {self.name!r}: "
-                        f"{origin!r} implies period "
-                        f"{SimTime.from_ticks(period_ticks)}, {name!r} "
-                        f"implies {SimTime.from_ticks(candidate)}"
-                    )
+                    self.timestep_conflicts.append((
+                        name,
+                        f"implies cluster period {candidate} ticks, "
+                        f"but {origin!r} implies {period_ticks}",
+                    ))
         if period_ticks is None:
+            self.timestep_missing = True
+            return
+        if self.timestep_conflicts:
+            return
+        self.period_ticks = period_ticks
+        for module in self.modules:
+            reps = self.repetitions[id(module)]
+            if period_ticks % reps:
+                self.divisibility_errors.append((
+                    module.full_name(),
+                    f"cluster period of {period_ticks} ticks is not "
+                    f"divisible by the module's {reps} activations "
+                    f"per period",
+                ))
+                continue
+            module_ticks = period_ticks // reps
+            self.module_timestep_ticks[id(module)] = module_ticks
+            for port in module.tdf_ports():
+                if port.rate >= 1 and module_ticks % port.rate:
+                    self.divisibility_errors.append((
+                        port.full_name(),
+                        f"module timestep of {module_ticks} ticks is "
+                        f"not divisible by port rate {port.rate}",
+                    ))
+
+    def batching_pinned_by(self) -> list[TdfModule]:
+        """Modules that pin the whole cluster to one-period-per-wake
+        execution (``batch_unsafe`` or raw DE coupling) even though the
+        cluster has no converter ports of its own."""
+        if self.de_inputs or self.de_outputs:
+            return []
+        return [m for m in self.modules
+                if m.batch_unsafe or m.de_coupled()]
+
+    # -- elaboration ------------------------------------------------------------
+
+    def elaborate(self) -> None:
+        """Check the bindings, analyze, and raise the first finding;
+        otherwise assign the timesteps, prime the signals and initialize
+        the modules."""
+        for module in self.modules:
+            for port in module.tdf_ports():
+                port._check_bound()
+        for signal in self.signals:
+            if signal.writer is None:
+                raise ElaborationError(
+                    f"TDF signal {signal.name!r} has no writer"
+                )
+        self.analyze()
+        self._raise_first_finding()
+        assert self.period_ticks is not None
+        self.period = SimTime.from_ticks(self.period_ticks)
+        for module in self.modules:
+            module.timestep = SimTime.from_ticks(
+                self.module_timestep_ticks[id(module)])
+            for port in module.tdf_ports():
+                port.timestep = SimTime.from_ticks(
+                    module.timestep.ticks // port.rate)
+        self._batch_safe = (
+            self.batch > 1
+            and not self.de_inputs
+            and not self.de_outputs
+            and not self.batching_pinned_by()
+        )
+        for signal in self.signals:
+            signal.prime()
+        for module in self.modules:
+            module._cluster = self
+            module._telemetry = self.telemetry
+        for module in self.modules:
+            module.initialize()
+
+    def _raise_first_finding(self) -> None:
+        if self.rate_conflicts:
+            location, detail = self.rate_conflicts[0]
+            raise SchedulingError(
+                f"TDF cluster {self.name!r} is rate-inconsistent at "
+                f"{location!r}: {detail}"
+            )
+        if self.timestep_conflicts:
+            location, detail = self.timestep_conflicts[0]
+            raise ElaborationError(
+                f"inconsistent timesteps in cluster {self.name!r}: "
+                f"{location!r} {detail}"
+            )
+        if self.timestep_missing:
             raise ElaborationError(
                 f"no timestep assigned anywhere in TDF cluster "
                 f"{self.name!r}; call set_timestep() on at least one "
                 "module or port"
             )
-        self.period = SimTime.from_ticks(period_ticks)
-        for module in self.modules:
-            reps = self.repetitions[id(module)]
-            if period_ticks % reps:
-                raise ElaborationError(
-                    f"cluster period {self.period} is not divisible by "
-                    f"{module.full_name()!r}'s {reps} activations"
-                )
-            module.timestep = SimTime.from_ticks(period_ticks // reps)
-            for port in module.tdf_ports():
-                if module.timestep.ticks % port.rate:
-                    raise ElaborationError(
-                        f"module timestep {module.timestep} of "
-                        f"{module.full_name()!r} is not divisible by "
-                        f"port rate {port.rate}"
-                    )
-                port.timestep = SimTime.from_ticks(
-                    module.timestep.ticks // port.rate
-                )
-
-    def _simulate_schedule(self, periods: int) -> list:
-        """Token-simulate ``periods`` cluster periods into an RLE PASS.
-
-        Returns ``[(module, run_length), ...]``: the greedy simulation
-        fires each module as many consecutive times as its input tokens
-        allow, so consecutive activations fuse naturally — for a simple
-        chain every module appears once with ``run_length ==
-        repetitions * periods``.  Raises on deadlock.
-        """
-        edges = list(self._edges())
-        tokens = {
-            (id(wp), id(rp)): d for _w, _wr, _r, _rr, d, wp, rp in edges
-        }
-        remaining = {
-            id(m): self.repetitions[id(m)] * periods for m in self.modules
-        }
-        inputs_of = {id(m): [] for m in self.modules}
-        outputs_of = {id(m): [] for m in self.modules}
-        for w_mod, w_rate, r_mod, r_rate, _d, wp, rp in edges:
-            key = (id(wp), id(rp))
-            inputs_of[id(r_mod)].append((key, r_rate))
-            outputs_of[id(w_mod)].append((key, w_rate))
-        entries: list[tuple[TdfModule, int, bool]] = []
-        progress = True
-        while progress and any(remaining.values()):
-            progress = False
-            for module in self.modules:
-                # Token counts before the run: a fused block call reads
-                # its whole input up front, which is only legal when
-                # every input edge already holds the run's full demand
-                # (feedback loops through the module itself interleave
-                # production with consumption and must stay scalar).
-                before = [tokens[key]
-                          for key, _need in inputs_of[id(module)]]
-                fired = 0
-                while remaining[id(module)] > 0 and all(
-                    tokens[key] >= need
-                    for key, need in inputs_of[id(module)]
-                ):
-                    for key, need in inputs_of[id(module)]:
-                        tokens[key] -= need
-                    for key, produced in outputs_of[id(module)]:
-                        tokens[key] += produced
-                    remaining[id(module)] -= 1
-                    fired += 1
-                if fired:
-                    progress = True
-                    fusable = all(
-                        have >= fired * need
-                        for have, (_key, need) in zip(
-                            before, inputs_of[id(module)])
-                    )
-                    if entries and entries[-1][0] is module:
-                        prev = entries[-1]
-                        entries[-1] = (module, prev[1] + fired, False)
-                    else:
-                        entries.append((module, fired, fusable))
-        if any(remaining.values()):
-            stuck = [m.full_name() for m in self.modules
-                     if remaining[id(m)] > 0]
+        if self.divisibility_errors:
+            location, detail = self.divisibility_errors[0]
+            raise ElaborationError(
+                f"in TDF cluster {self.name!r}, {location!r}: {detail}"
+            )
+        if self.deadlocked:
             raise SchedulingError(
                 f"TDF cluster {self.name!r} deadlocks (insufficient "
-                f"delays on a feedback loop); stuck modules: {stuck}"
+                f"delays on a feedback loop); stuck modules: "
+                f"{self.deadlocked}"
             )
-        return entries
-
-    def _build_schedule(self) -> None:
-        runs = self._simulate_schedule(1)
-        self.schedule = [m for m, count, _ok in runs
-                         for _ in range(count)]
 
     def _entries_for(self, periods: int) -> list:
         """Compiled schedule for ``periods``: (module, count, use_block).
@@ -385,12 +372,15 @@ class TdfCluster:
         """
         cached = self._entry_cache.get(periods)
         if cached is None:
+            entries, _stuck, _peak = simulate_tokens(
+                self.modules, self._edges,
+                {module: self.repetitions[id(module)] * periods
+                 for module in self.modules})
             cached = [
                 (module, count,
                  self.block_mode and count > 1 and fusable
                  and module.supports_block())
-                for module, count, fusable
-                in self._simulate_schedule(periods)
+                for module, count, fusable in entries
             ]
             self._entry_cache[periods] = cached
         return cached
@@ -400,7 +390,7 @@ class TdfCluster:
     def install(self, kernel) -> None:
         """Register the cluster driver thread and converter writers."""
         self._kernel = kernel
-        for converter in self._de_outputs:
+        for converter in self.de_outputs:
             converter.make_writer_thread(kernel)
         process = Process(
             f"tdf.{self.name}.driver", THREAD, self._drive,
@@ -452,7 +442,7 @@ class TdfCluster:
         telemetry = self.telemetry
         if telemetry is not None:
             start = _time.perf_counter()
-        for converter in self._de_inputs:
+        for converter in self.de_inputs:
             converter.sample()
         base = self.period_count * self.period.ticks
         self.epoch_ticks = 0  # local time is measured from t=0
@@ -474,20 +464,21 @@ class TdfCluster:
                         module._activate()
                 module_seconds[module].inc(
                     _time.perf_counter() - entry_start)
-        if telemetry is not None and self._de_outputs:
+        if telemetry is not None and self.de_outputs:
             self._m_sync_out.inc(
-                sum(len(c._queue) for c in self._de_outputs))
-        for converter in self._de_outputs:
+                sum(len(c._queue) for c in self.de_outputs))
+        for converter in self.de_outputs:
             converter.flush(base, base + n * self.period.ticks)
         self.period_count += n
         if telemetry is not None:
             elapsed = _time.perf_counter() - start
             self._m_seconds.inc(elapsed)
             self._m_periods.inc(n)
-            self._m_activations.inc(n * len(self.schedule))
+            self._m_activations.inc(
+                n * sum(self.repetitions.values()))
             self._m_batch.observe(n)
-            if self._de_inputs:
-                self._m_sync_in.inc(len(self._de_inputs))
+            if self.de_inputs:
+                self._m_sync_in.inc(len(self.de_inputs))
             tracer = telemetry.tracer
             if tracer.enabled:
                 tracer.complete(
@@ -514,10 +505,10 @@ class TdfCluster:
 
     def _compact(self) -> None:
         if self.telemetry is not None:
-            for signal in self._signals:
+            for signal in self.signals:
                 self._m_occupancy.observe(
                     signal.write_head - signal._offset)
-        for signal in self._signals:
+        for signal in self.signals:
             if signal.readers:
                 needed = min(r.next_needed() for r in signal.readers)
                 signal.compact(needed)
@@ -531,7 +522,7 @@ class TdfCluster:
         return {
             "name": self.name,
             "period_count": self.period_count,
-            "signals": [signal.snapshot() for signal in self._signals],
+            "signals": [signal.snapshot() for signal in self.signals],
             "modules": [
                 {
                     "name": module.full_name(),
@@ -550,7 +541,7 @@ class TdfCluster:
         model factory: signals and modules are matched positionally (the
         elaboration order is deterministic) with module names checked.
         """
-        if (len(data["signals"]) != len(self._signals)
+        if (len(data["signals"]) != len(self.signals)
                 or len(data["modules"]) != len(self.modules)):
             raise SynchronizationError(
                 f"checkpoint does not match cluster {self.name!r} "
@@ -561,7 +552,7 @@ class TdfCluster:
         self._next_compact = self.compact_every * (
             self.period_count // self.compact_every + 1
         )
-        for signal, snap in zip(self._signals, data["signals"]):
+        for signal, snap in zip(self.signals, data["signals"]):
             signal.restore(snap)
         for module, snap in zip(self.modules, data["modules"]):
             if module.full_name() != snap["name"]:

@@ -2,12 +2,13 @@
 
 :func:`build_context` walks an *elaborated-but-not-run* (or even
 never-elaborated) design and precomputes the shared structure every
-rule needs: TDF clusters with tolerant rate / timestep / schedule
-analyses (recording findings instead of raising like the runtime
-elaboration does), embedded electrical networks, embedded SDF graphs,
-DE ports, clocks, and processes.  Standalone :class:`~repro.eln.Network`
-and :class:`~repro.sdf.SdfGraph` objects get minimal contexts of their
-own so they can be verified outside any module hierarchy.
+rule needs: TDF clusters (:class:`~repro.tdf.TdfCluster` objects built
+without elaborating, whose static analysis — the one elaboration runs —
+records findings instead of raising), embedded electrical networks,
+embedded SDF graphs, DE ports, clocks, and processes.  Standalone
+:class:`~repro.eln.Network` and :class:`~repro.sdf.SdfGraph` objects
+get minimal contexts of their own so they can be verified outside any
+module hierarchy.
 
 Building a context is almost side-effect free: the only model mutation
 is calling ``set_attributes()`` on TDF modules (needed to learn rates
@@ -18,9 +19,7 @@ elaboration.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.module import Module
@@ -28,251 +27,9 @@ from ..core.port import Port
 from ..core.process import Process
 from ..eln.network import Network
 from ..sdf.graph import SdfGraph
-from ..tdf.cluster import _discover_clusters
-from ..tdf.module import TdfDeIn, TdfDeOut, TdfModule
-from ..tdf.signal import TdfSignal
+from ..tdf.cluster import TdfCluster, _discover_clusters
+from ..tdf.module import TdfModule
 from .diagnostics import Diagnostic
-
-#: Safety cap on symbolic schedule steps (deadlock analysis).
-_MAX_SCHEDULE_FIRINGS = 1_000_000
-
-
-class ClusterAnalysis:
-    """Tolerant re-implementation of the TDF cluster elaboration
-    pipeline: every stage records findings instead of raising, and
-    later stages run only when their inputs exist."""
-
-    def __init__(self, name: str, modules: List[TdfModule]):
-        self.name = name
-        self.modules = modules
-        self.signals: List[TdfSignal] = []
-        self.de_inputs: List[TdfDeIn] = []
-        self.de_outputs: List[TdfDeOut] = []
-        #: (module_full_name, conflict description) from rate analysis.
-        self.rate_conflicts: List[Tuple[str, str]] = []
-        #: repetition counts per module id; None when rates conflict.
-        self.repetitions: Optional[Dict[int, int]] = None
-        #: resolved cluster period in ticks; None when unknown.
-        self.period_ticks: Optional[int] = None
-        #: (location, message) timestep constraint conflicts.
-        self.timestep_conflicts: List[Tuple[str, str]] = []
-        #: True when no module/port requested any timestep.
-        self.timestep_missing = False
-        #: (location, message) period/rate divisibility failures.
-        self.divisibility_errors: List[Tuple[str, str]] = []
-        #: module full names that never fired during schedule synthesis.
-        self.deadlocked: List[str] = []
-        #: zero-delay dependency cycles (lists of module full names).
-        self.cycles: List[List[str]] = []
-        #: per-module resolved timestep ticks (valid schedule only).
-        self.module_timestep_ticks: Dict[int, int] = {}
-        self._collect()
-        self._solve_rates()
-        if self.repetitions is not None:
-            self._propagate_timesteps()
-            self._detect_deadlock()
-
-    # -- structure -----------------------------------------------------------
-
-    def _collect(self) -> None:
-        seen: set[int] = set()
-        for module in self.modules:
-            for port in module.tdf_ports():
-                signal = port.signal
-                if signal is not None and id(signal) not in seen:
-                    seen.add(id(signal))
-                    self.signals.append(signal)
-            for converter in module.converter_ports():
-                if isinstance(converter, TdfDeIn):
-                    self.de_inputs.append(converter)
-                else:
-                    self.de_outputs.append(converter)
-
-    def _edges(self):
-        """(writer_module, w_rate, reader_module, r_rate, delay_tokens)
-        over fully bound, positively rated connections only — partially
-        wired or ill-rated ports are reported by their own rules and
-        must not crash the downstream analyses."""
-        for signal in self.signals:
-            writer = signal.writer
-            if writer is None or writer.module is None:
-                continue
-            if writer.rate < 1:
-                continue
-            for reader in signal.readers:
-                if reader.module is None or reader.rate < 1:
-                    continue
-                yield (writer.module, writer.rate, reader.module,
-                       reader.rate, writer.delay + reader.delay)
-
-    # -- stage 1: balance equations ------------------------------------------
-
-    def _solve_rates(self) -> None:
-        ratio: Dict[int, Optional[Fraction]] = {
-            id(m): None for m in self.modules
-        }
-        adjacency: Dict[int, List[Tuple[int, Fraction]]] = {
-            id(m): [] for m in self.modules
-        }
-        for w_mod, w_rate, r_mod, r_rate, _d in self._edges():
-            factor = Fraction(w_rate, r_rate)
-            adjacency[id(w_mod)].append((id(r_mod), factor))
-            adjacency[id(r_mod)].append((id(w_mod), 1 / factor))
-        names = {id(m): m.full_name() for m in self.modules}
-        for module in self.modules:
-            if ratio[id(module)] is not None:
-                continue
-            ratio[id(module)] = Fraction(1)
-            stack = [id(module)]
-            while stack:
-                node = stack.pop()
-                for neighbor, factor in adjacency[node]:
-                    implied = ratio[node] * factor
-                    if ratio[neighbor] is None:
-                        ratio[neighbor] = implied
-                        stack.append(neighbor)
-                    elif ratio[neighbor] != implied:
-                        self.rate_conflicts.append((
-                            names[neighbor],
-                            f"balance equations imply both "
-                            f"{ratio[neighbor]} and {implied} relative "
-                            f"firings",
-                        ))
-        if self.rate_conflicts:
-            return
-        lcm = 1
-        for value in ratio.values():
-            lcm = lcm * value.denominator // gcd(lcm, value.denominator)
-        counts = {key: int(r * lcm) for key, r in ratio.items()}
-        overall = 0
-        for count in counts.values():
-            overall = gcd(overall, count)
-        overall = overall or 1
-        self.repetitions = {key: c // overall
-                            for key, c in counts.items()}
-
-    # -- stage 2: timestep propagation ---------------------------------------
-
-    def _propagate_timesteps(self) -> None:
-        assert self.repetitions is not None
-        period_ticks: Optional[int] = None
-        origin = ""
-        for module in self.modules:
-            constraints: List[Tuple[int, str]] = []
-            if module.requested_timestep is not None:
-                constraints.append((module.requested_timestep.ticks,
-                                    module.full_name()))
-            for port in module.tdf_ports():
-                if port.requested_timestep is not None and port.rate >= 1:
-                    constraints.append((
-                        port.requested_timestep.ticks * port.rate,
-                        port.full_name(),
-                    ))
-            for module_ticks, name in constraints:
-                candidate = module_ticks * self.repetitions[id(module)]
-                if period_ticks is None:
-                    period_ticks, origin = candidate, name
-                elif period_ticks != candidate:
-                    self.timestep_conflicts.append((
-                        name,
-                        f"implies cluster period {candidate} ticks, "
-                        f"but {origin!r} implies {period_ticks}",
-                    ))
-        if period_ticks is None:
-            self.timestep_missing = True
-            return
-        if self.timestep_conflicts:
-            return
-        self.period_ticks = period_ticks
-        for module in self.modules:
-            reps = self.repetitions[id(module)]
-            if period_ticks % reps:
-                self.divisibility_errors.append((
-                    module.full_name(),
-                    f"cluster period of {period_ticks} ticks is not "
-                    f"divisible by the module's {reps} activations "
-                    f"per period",
-                ))
-                continue
-            module_ticks = period_ticks // reps
-            self.module_timestep_ticks[id(module)] = module_ticks
-            for port in module.tdf_ports():
-                if port.rate >= 1 and module_ticks % port.rate:
-                    self.divisibility_errors.append((
-                        port.full_name(),
-                        f"module timestep of {module_ticks} ticks is "
-                        f"not divisible by port rate {port.rate}",
-                    ))
-
-    # -- stage 3: schedulability (deadlock) ----------------------------------
-
-    def _detect_deadlock(self) -> None:
-        assert self.repetitions is not None
-        edges = list(self._edges())
-        tokens: Dict[int, int] = {}
-        inputs_of: Dict[int, List[Tuple[int, int]]] = {
-            id(m): [] for m in self.modules
-        }
-        outputs_of: Dict[int, List[Tuple[int, int]]] = {
-            id(m): [] for m in self.modules
-        }
-        for k, (w_mod, w_rate, r_mod, r_rate, delay) in enumerate(edges):
-            tokens[k] = delay
-            inputs_of[id(r_mod)].append((k, r_rate))
-            outputs_of[id(w_mod)].append((k, w_rate))
-        remaining = {id(m): self.repetitions[id(m)]
-                     for m in self.modules}
-        fired = 0
-        progress = True
-        while progress and any(remaining.values()):
-            progress = False
-            for module in self.modules:
-                while (remaining[id(module)] > 0
-                       and fired < _MAX_SCHEDULE_FIRINGS
-                       and all(tokens[key] >= need
-                               for key, need in inputs_of[id(module)])):
-                    for key, need in inputs_of[id(module)]:
-                        tokens[key] -= need
-                    for key, produced in outputs_of[id(module)]:
-                        tokens[key] += produced
-                    remaining[id(module)] -= 1
-                    fired += 1
-                    progress = True
-        self.deadlocked = [m.full_name() for m in self.modules
-                           if remaining[id(m)] > 0]
-        if self.deadlocked:
-            self.cycles = self._dependency_cycles(edges)
-
-    def _dependency_cycles(self, edges) -> List[List[str]]:
-        """Zero-delay cycles: dependency edges lacking the delay tokens
-        one reader firing needs (the structural cause of deadlocks)."""
-        import networkx as nx
-
-        digraph = nx.DiGraph()
-        for module in self.modules:
-            digraph.add_node(module.full_name())
-        for w_mod, _w_rate, r_mod, r_rate, delay in edges:
-            if delay < r_rate:
-                digraph.add_edge(w_mod.full_name(), r_mod.full_name())
-        return [sorted(cycle) for cycle in nx.simple_cycles(digraph)]
-
-    # -- derived helpers ------------------------------------------------------
-
-    def analysis_complete(self) -> bool:
-        """True when rates, timesteps, and the schedule all resolved."""
-        return (self.repetitions is not None
-                and self.period_ticks is not None
-                and not self.divisibility_errors
-                and not self.deadlocked)
-
-    def batching_pinned_by(self) -> List[TdfModule]:
-        """Modules that pin the whole cluster to one-period-per-wake
-        execution (``batch_unsafe`` or raw DE coupling) even though the
-        cluster has no converter ports of its own."""
-        if self.de_inputs or self.de_outputs:
-            return []
-        return [m for m in self.modules
-                if m.batch_unsafe or m.de_coupled()]
 
 
 class VerifyContext:
@@ -284,7 +41,7 @@ class VerifyContext:
         self.top: Optional[Module] = None
         self.modules: List[Module] = []
         self.tdf_modules: List[TdfModule] = []
-        self.clusters: List[ClusterAnalysis] = []
+        self.clusters: List[TdfCluster] = []
         #: (location, network) pairs, deduplicated by identity.
         self.networks: List[Tuple[str, Network]] = []
         #: (location, graph) pairs, deduplicated by identity.
@@ -350,7 +107,9 @@ def build_context(top: Module) -> VerifyContext:
                     seen_graphs.add(id(value))
                     ctx.sdf_graphs.append((module.full_name(), value))
     for k, members in enumerate(_discover_clusters(ctx.tdf_modules)):
-        ctx.clusters.append(ClusterAnalysis(f"cluster{k}", members))
+        cluster = TdfCluster(f"cluster{k}", members)
+        cluster.analyze()
+        ctx.clusters.append(cluster)
     return ctx
 
 

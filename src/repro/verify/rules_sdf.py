@@ -1,4 +1,8 @@
-"""Untimed SDF graph checks (SDF0xx)."""
+"""Untimed SDF graph checks (SDF0xx).
+
+SDF001, SDF002 and SDF005 run :class:`~repro.sdf.SdfGraph`'s own rate
+analysis and token simulation, the ones its scheduler runs.
+"""
 
 from __future__ import annotations
 
@@ -14,41 +18,15 @@ from .registry import rule
 DEFAULT_BUFFER_LIMIT = 4096
 
 
-def _repetitions(graph):
+def _token_run(graph):
+    """(sorted stuck actor names, peak occupancy per edge) of one
+    period's token simulation, or None when the graph's rates are
+    inconsistent (SDF001 reports the graph already)."""
     try:
-        return graph.repetition_vector()
+        _entries, stuck, peak = graph.token_run()
     except SchedulingError:
         return None
-
-
-def _symbolic_run(graph, repetitions):
-    """Execute token counts for one schedule period without touching
-    the graph.  Returns (deadlocked_actor_names, peak_per_edge)."""
-    counts = {id(e): len(e.initial_tokens) for e in graph.edges}
-    peak = dict(counts)
-    remaining = dict(repetitions)
-    inputs_of = {a: [] for a in graph.actors}
-    outputs_of = {a: [] for a in graph.actors}
-    for edge in graph.edges:
-        inputs_of[edge.dst].append(edge)
-        outputs_of[edge.src].append(edge)
-    progress = True
-    while progress and any(remaining.values()):
-        progress = False
-        for actor in graph.actors:
-            while remaining[actor] > 0 and all(
-                counts[id(e)] >= e.consume_rate
-                for e in inputs_of[actor]
-            ):
-                for e in inputs_of[actor]:
-                    counts[id(e)] -= e.consume_rate
-                for e in outputs_of[actor]:
-                    counts[id(e)] += e.produce_rate
-                    peak[id(e)] = max(peak[id(e)], counts[id(e)])
-                remaining[actor] -= 1
-                progress = True
-    stuck = sorted(a.name for a, r in remaining.items() if r > 0)
-    return stuck, peak
+    return sorted(actor.name for actor in stuck), peak
 
 
 def _edge_label(graph_location, edge):
@@ -75,10 +53,10 @@ def sdf_rate_inconsistent(ctx: VerifyContext) -> Iterator[Diagnostic]:
 def sdf_deadlock(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """An SDF graph deadlocks for lack of initial tokens."""
     for location, graph in ctx.sdf_graphs:
-        repetitions = _repetitions(graph)
-        if repetitions is None:
-            continue  # SDF001 reported the graph already
-        stuck, _peak = _symbolic_run(graph, repetitions)
+        run = _token_run(graph)
+        if run is None:
+            continue
+        stuck, _peak = run
         if stuck:
             cycles = graph.zero_delay_cycles()
             yield ctx.diag(
@@ -133,14 +111,13 @@ def sdf_unconnected_output(ctx: VerifyContext) -> Iterator[Diagnostic]:
 def sdf_buffer_bound(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """An edge's predicted peak occupancy exceeds the buffer limit."""
     for location, graph in ctx.sdf_graphs:
-        repetitions = _repetitions(graph)
-        if repetitions is None:
+        run = _token_run(graph)
+        if run is None:
             continue
-        stuck, peak = _symbolic_run(graph, repetitions)
+        stuck, peak = run
         if stuck:
             continue  # SDF002 covers deadlocked graphs
-        for edge in graph.edges:
-            bound = peak[id(edge)]
+        for edge, bound in zip(graph.edges, peak):
             if bound > DEFAULT_BUFFER_LIMIT:
                 yield ctx.diag(
                     "SDF005", "warning",

@@ -1,9 +1,10 @@
 """Timed-dataflow cluster checks (TDF0xx).
 
-These mirror the runtime cluster elaboration pipeline (bind check, rate
-solving, timestep propagation, schedule synthesis) but run over the
-tolerant :class:`~repro.verify.context.ClusterAnalysis`, so one broken
-stage does not hide findings from the others.
+TDF004-TDF008 report the findings of elaboration's own cluster
+analysis (rate solving, timestep propagation, schedule synthesis; see
+:class:`~repro.tdf.TdfCluster`), which records every finding instead of
+raising the first, so one broken stage does not hide findings from the
+others.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def rate_inconsistent_cluster(ctx: VerifyContext) -> Iterator[Diagnostic]:
 def no_timestep_in_cluster(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """No module or port of a cluster declares a timestep."""
     for cluster in ctx.clusters:
-        if cluster.repetitions is not None and cluster.timestep_missing:
+        if cluster.timestep_missing:
             members = sorted(m.full_name() for m in cluster.modules)
             yield ctx.diag(
                 "TDF005", "error", members[0],
