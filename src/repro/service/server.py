@@ -148,6 +148,30 @@ def _pool_warmup() -> None:
     return None
 
 
+def _outcomes_problem(chunk: Chunk,
+                      outcomes: List[Any]) -> Optional[str]:
+    """Why a worker's ``outcomes`` cannot complete ``chunk``: each must
+    be a dict whose integer ``index`` is one of the chunk's tasks, with
+    a numeric ``attempt`` and ``wall_time`` and a dict of ``metrics``
+    when present.  ``None`` when they can."""
+    indices = {index for index, _params, _attempt in chunk.tasks}
+    for outcome in outcomes:
+        if not isinstance(outcome, dict):
+            return "every outcome must be an object"
+        index = outcome.get("index")
+        if type(index) is not int or index not in indices:
+            return (f"outcome index {index!r} is not a task of chunk "
+                    f"{chunk.chunk_id}")
+        for field in ("attempt", "wall_time"):
+            value = outcome.get(field, 0)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, float)):
+                return f"outcome {field} {value!r} is not a number"
+        if not isinstance(outcome.get("metrics") or {}, dict):
+            return "outcome metrics must be an object"
+    return None
+
+
 class CampaignService:
     """See the module docstring.  Construct, then :meth:`run` (blocking)
     or :func:`start_in_thread` (embedded)."""
@@ -873,6 +897,12 @@ class CampaignService:
         if not chunk_id or not isinstance(outcomes, list):
             raise HttpError(400,
                             "complete needs chunk_id and outcomes[]")
+        chunk = self.chunks.get(str(chunk_id))
+        if chunk is not None:
+            # refuse before the chunk ends: its lease stays in place
+            problem = _outcomes_problem(chunk, outcomes)
+            if problem:
+                raise HttpError(400, problem)
         accepted = self._complete_chunk(
             str(chunk_id), outcomes,
             worker=str(payload.get("worker") or "?"),

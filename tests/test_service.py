@@ -515,6 +515,37 @@ def test_duplicate_chunk_completion_is_dropped():
         assert client.lease("w1") is None
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda outcomes: [{"index": "x"}],
+    lambda outcomes: [dict(o, index=o["index"] + 4) for o in outcomes],
+    lambda outcomes: [dict(o, attempt="one") for o in outcomes],
+    lambda outcomes: [dict(o, wall_time=None) for o in outcomes],
+    lambda outcomes: [*outcomes[:1], ["not", "a", "dict"]],
+], ids=["index-not-int", "foreign-indices", "attempt-not-number",
+        "wall-time-null", "outcome-not-dict"])
+def test_malformed_completion_is_refused_and_the_lease_kept(corrupt):
+    """A completion whose outcomes do not fit the leased chunk is a 400
+    that leaves the lease in place: the valid resend is accepted and
+    the job ends with the serial fingerprint."""
+    with serve(workers=0) as (handle, client):
+        job = client.submit(ref("quick"), chunk_size=4)
+        lease = client.lease("w1")
+        outcomes = execute_chunk(
+            lease["spec"], [tuple(task) for task in lease["tasks"]],
+            lease.get("timeout"))["outcomes"]
+        with pytest.raises(ServiceError) as refused:
+            client.complete("w1", lease["job_id"], lease["chunk_id"],
+                            corrupt(outcomes))
+        assert refused.value.status == 400
+        assert client.complete("w1", lease["job_id"], lease["chunk_id"],
+                               outcomes)["accepted"]
+        done = drain_until_done(handle, client, job["id"])
+        assert done["state"] == "done"
+        assert done["executed"] == 8
+        assert client.results(job["id"])["fingerprint"] \
+            == serial_fingerprint("quick")
+
+
 def test_service_metrics_expose_queue_and_job_timings(tmp_path):
     with serve(workers=1, store_dir=tmp_path / "store") as (_, client):
         job = client.submit(ref("quick"))
