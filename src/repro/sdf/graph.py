@@ -91,10 +91,11 @@ def simulate_tokens(nodes: Sequence[Hashable], edges: Sequence[PlainEdge],
     * ``peak`` — each edge's peak token occupancy, by edge position.
 
     A run is fired in one step: its length is the smallest
-    ``tokens // consume`` over input edges from other nodes.  A
-    self-loop edge has ``produce == consume`` on a rate-consistent
-    graph, so its token count never changes and it only decides whether
-    the node fires at all.
+    ``tokens // consume`` over input edges from other nodes, and the
+    node fires only when that is positive (an edge starts negative
+    under a negative delay).  A self-loop edge has ``produce ==
+    consume`` on a rate-consistent graph, so its token count never
+    changes and it only decides whether the node fires at all.
     """
     tokens = [edge[4] for edge in edges]
     peak = list(tokens)
@@ -116,7 +117,7 @@ def simulate_tokens(nodes: Sequence[Hashable], edges: Sequence[PlainEdge],
                     fired = min(fired, tokens[k] // consume)
                 elif tokens[k] < consume:
                     fired = 0
-            if not fired:
+            if fired <= 0:
                 continue
             progress = True
             remaining[node] -= fired

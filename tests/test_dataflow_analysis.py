@@ -22,7 +22,8 @@ from repro.core import (
     Simulator,
 )
 from repro.sdf import Actor, SdfGraph
-from repro.tdf import TdfSignal
+from repro.sdf.graph import simulate_tokens
+from repro.tdf import TdfIn, TdfModule, TdfOut, TdfSignal
 from repro.verify import verify
 from repro.verify.context import build_context
 
@@ -58,6 +59,58 @@ def test_million_firing_cluster_verifies_and_elaborates():
     cluster = sim.tdf_registry.clusters[0]
     assert cluster.repetitions == {id(src): 1_000_001, id(sink): 1}
     assert cluster.period.ticks == SimTime(1_000_001, "ns").ticks
+
+
+class Relay(TdfModule):
+    """Copies one sample per firing through an out port of the given
+    delay."""
+
+    def __init__(self, name, parent, delay, timestep=None):
+        super().__init__(name, parent)
+        self.inp = TdfIn("inp")
+        self.out = TdfOut("out", delay=delay)
+        self._ts = timestep
+
+    def set_attributes(self):
+        if self._ts is not None:
+            self.set_timestep(self._ts)
+
+    def processing(self):
+        self.out.write(self.inp.read())
+
+
+def test_negative_delay_ring_deadlocks():
+    """A negative delay leaves a ring's edge short of tokens: the
+    verifier reports it (TDF010) and the deadlock (TDF008), and
+    elaboration raises, instead of the simulation firing negative
+    runs forever."""
+    def build():
+        top = Module("top")
+        a = Relay("a", top, delay=-1, timestep=SimTime(1, "us"))
+        b = Relay("b", top, delay=0)
+        forward, back = TdfSignal("forward"), TdfSignal("back")
+        a.out(forward)
+        b.inp(forward)
+        b.out(back)
+        a.inp(back)
+        return top
+
+    report = verify(build())
+    errors = {(d.rule, d.location) for d in report if d.severity == "error"}
+    assert errors == {("TDF010", "top.a.out"), ("TDF008", "top.a")}
+    with pytest.raises(SchedulingError):
+        Simulator(build()).elaborate()
+
+
+def test_negative_tokens_fire_once_they_are_made_up():
+    """An edge starting at -1 tokens keeps its consumer from firing
+    until the producer has made the deficit up, and then holds back
+    exactly one firing, as a per-firing simulation would."""
+    entries, stuck, peak = simulate_tokens(
+        ["b", "a"], [("a", 2, "b", 1, -1)], {"a": 2, "b": 4})
+    assert entries == [("a", 2, True), ("b", 3, True)]
+    assert stuck == ["b"]
+    assert peak == [3]
 
 
 @st.composite
