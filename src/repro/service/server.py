@@ -73,6 +73,7 @@ import asyncio
 import logging
 import os
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -152,8 +153,9 @@ def _outcomes_problem(chunk: Chunk,
                       outcomes: List[Any]) -> Optional[str]:
     """Why a worker's ``outcomes`` cannot complete ``chunk``: each must
     be a dict whose integer ``index`` is one of the chunk's tasks, with
-    a numeric ``attempt`` and ``wall_time`` and a dict of ``metrics``
-    when present.  ``None`` when they can."""
+    an integer ``attempt``, a finite ``wall_time`` and dicts of
+    ``metrics`` and ``metrics_telemetry`` when present.  ``None`` when
+    they can."""
     indices = {index for index, _params, _attempt in chunk.tasks}
     for outcome in outcomes:
         if not isinstance(outcome, dict):
@@ -162,13 +164,18 @@ def _outcomes_problem(chunk: Chunk,
         if type(index) is not int or index not in indices:
             return (f"outcome index {index!r} is not a task of chunk "
                     f"{chunk.chunk_id}")
-        for field in ("attempt", "wall_time"):
-            value = outcome.get(field, 0)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, float)):
-                return f"outcome {field} {value!r} is not a number"
-        if not isinstance(outcome.get("metrics") or {}, dict):
-            return "outcome metrics must be an object"
+        attempt = outcome.get("attempt", 1)
+        if type(attempt) is not int:
+            return f"outcome attempt {attempt!r} is not an integer"
+        # finite, and within float range when an integer: the body
+        # parser accepts Infinity, NaN and integers of any size
+        wall_time = outcome.get("wall_time", 0.0)
+        if type(wall_time) not in (int, float) \
+                or not abs(wall_time) <= sys.float_info.max:
+            return f"outcome wall_time {wall_time!r} is not a finite number"
+        for field in ("metrics", "metrics_telemetry"):
+            if not isinstance(outcome.get(field) or {}, dict):
+                return f"outcome {field} must be an object"
     return None
 
 
@@ -677,9 +684,7 @@ class CampaignService:
 
     def _on_point_outcome(self, job: Job,
                           outcome: Dict[str, Any]) -> None:
-        index = int(outcome["index"])
-        if not 0 <= index < len(job.records):
-            return
+        index = outcome["index"]
         key = job.keys[index]
         record = job.records[index]
         status = outcome.get("status", "failed")
@@ -763,7 +768,9 @@ class CampaignService:
                         worker: str,
                         telemetry: Any = None) -> bool:
         """End a chunk with its executor's outcomes; ``False`` when the
-        chunk has already ended (a duplicate or late completion)."""
+        chunk has already ended (a duplicate or late completion).  The
+        outcomes fit the chunk: a pool slot builds them from its tasks,
+        and ``_h_complete`` checks a worker's first."""
         chunk = self.chunks.pop(chunk_id, None)
         if chunk is None:
             self.metrics.counter("service.chunks.duplicate").inc()
@@ -782,9 +789,7 @@ class CampaignService:
                 tasks=len(chunk.tasks))
         returned = set()
         for outcome in outcomes:
-            if not isinstance(outcome, dict) or "index" not in outcome:
-                continue
-            returned.add(int(outcome["index"]))
+            returned.add(outcome["index"])
             self._on_point_outcome(job, outcome)
         if job.terminal:
             # the keys of the points it did not return go to waiters

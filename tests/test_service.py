@@ -519,10 +519,17 @@ def test_duplicate_chunk_completion_is_dropped():
     lambda outcomes: [{"index": "x"}],
     lambda outcomes: [dict(o, index=o["index"] + 4) for o in outcomes],
     lambda outcomes: [dict(o, attempt="one") for o in outcomes],
+    lambda outcomes: [dict(o, attempt=float("inf")) for o in outcomes],
+    lambda outcomes: [dict(o, attempt=float("nan")) for o in outcomes],
     lambda outcomes: [dict(o, wall_time=None) for o in outcomes],
+    lambda outcomes: [dict(o, wall_time=float("inf")) for o in outcomes],
+    lambda outcomes: [dict(o, wall_time=10 ** 400) for o in outcomes],
+    lambda outcomes: [dict(o, metrics_telemetry="x") for o in outcomes],
     lambda outcomes: [*outcomes[:1], ["not", "a", "dict"]],
 ], ids=["index-not-int", "foreign-indices", "attempt-not-number",
-        "wall-time-null", "outcome-not-dict"])
+        "attempt-infinite", "attempt-nan", "wall-time-null",
+        "wall-time-infinite", "wall-time-beyond-float",
+        "telemetry-not-dict", "outcome-not-dict"])
 def test_malformed_completion_is_refused_and_the_lease_kept(corrupt):
     """A completion whose outcomes do not fit the leased chunk is a 400
     that leaves the lease in place: the valid resend is accepted and
