@@ -29,11 +29,6 @@ def _token_run(graph):
     return sorted(actor.name for actor in stuck), peak
 
 
-def _edge_label(graph_location, edge):
-    return (f"{graph_location}.{edge.src.name}.{edge.src_port}->"
-            f"{edge.dst.name}.{edge.dst_port}")
-
-
 @rule("SDF001", domain="sdf", severity="error")
 def sdf_rate_inconsistent(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """SDF balance equations admit only the zero solution."""
@@ -121,7 +116,8 @@ def sdf_buffer_bound(ctx: VerifyContext) -> Iterator[Diagnostic]:
             if bound > DEFAULT_BUFFER_LIMIT:
                 yield ctx.diag(
                     "SDF005", "warning",
-                    _edge_label(location, edge),
+                    f"{location}.{edge.src.name}.{edge.src_port}->"
+                    f"{edge.dst.name}.{edge.dst_port}",
                     f"predicted peak occupancy of {bound} tokens per "
                     f"schedule period exceeds the "
                     f"{DEFAULT_BUFFER_LIMIT}-token limit",
