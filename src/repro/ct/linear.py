@@ -58,11 +58,12 @@ SPARSE_AUTO_THRESHOLD = 150
 
 #: Dense and expm systems of at most this many unknowns step on Python
 #: floats (:func:`_float_steps`), where NumPy's fixed cost per call
-#: outweighs the arithmetic.  Per step on 1,000-step RC-ladder windows
-#: (best of 7, 2-vCPU Xeon VM, NumPy 2.4), NumPy loop against float
-#: loop: 1.77/0.14 us at 1 unknown, 1.19/0.44 at 3, 1.21/0.65 at 4 and
-#: 1.23/1.16 at 6.  At 4 the ADSL model's LSF filters would take the
-#: loop too, and their states would move in the last place.
+#: outweighs the arithmetic; larger ones take one mat-vec call per step
+#: (:meth:`_CachedStepper._advance`).  Per step on 1,000-step RC-ladder
+#: windows (best of 7, 2-vCPU Xeon VM, NumPy 2.4), one-call loop
+#: against float loop: 0.37/0.14 us at 1 unknown, 0.41/0.36 at 3,
+#: 0.41/0.55 at 4 and 0.42/0.95 at 6 (the float loop written out the
+#: same way for 4 and 6).
 FLOAT_STEP_MAX_UNKNOWNS = 3
 
 #: Per-stepper LRU capacity of the ``h``-keyed factorization cache.
@@ -279,7 +280,8 @@ def _require_invertible(A: np.ndarray, singular: str,
 
 def _forcing(b: np.ndarray, fac: _Propagator) -> np.ndarray:
     """Per-step forcing terms ``w[k]`` of the stacked source vectors
-    ``b``, each bit-identical whatever the number of steps.
+    ``b`` for the float steps (:func:`_float_steps`), each bit-identical
+    whatever the number of steps.
 
     A row-layout source sums ``gain * b[:, col]`` over its few ``(col,
     gain)`` terms elementwise for the whole run; any other source takes
@@ -353,25 +355,34 @@ def _float_steps(phi: list, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Propagator(NamedTuple):
     """One-step propagators for one timestep value: a step is
-    ``x' = phi @ x + gain @ b`` for its stacked source vector ``b``,
-    summed over the ``(column, gain column)`` terms when the source has
-    a row layout (see :func:`_forcing`).  ``phi_floats`` is ``phi`` as
-    nested Python floats up to :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns
-    (see :func:`_float_steps`), else None."""
+    ``x' = phi @ x + gain @ b[cols]`` for its stacked source vector
+    ``b``, whose columns ``cols`` (every column when None) the source
+    can make nonzero.
 
-    phi: np.ndarray
+    Above :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns ``aug`` is ``[phi |
+    gain]``, so a step is one mat-vec of ``aug`` with the state and the
+    source columns side by side (see :meth:`_CachedStepper._advance`).
+    Up to it ``phi_floats`` is ``phi`` as nested Python floats (see
+    :func:`_float_steps`) and ``terms`` the ``(column, gain column)``
+    pairs :func:`_forcing` sums (None when ``cols`` is); ``aug`` is
+    then None."""
+
     gain: np.ndarray
-    terms: Optional[tuple]
+    cols: Optional[np.ndarray]
+    aug: Optional[np.ndarray]
     phi_floats: Optional[list]
+    terms: Optional[tuple]
 
 
 def _propagator(phi, gain, cols) -> _Propagator:
     """Pack ``phi`` and the source propagator ``gain``, whose columns
     are the stacked source columns ``cols`` (every column when None)."""
+    index = None if cols is None else np.array(cols, dtype=np.intp)
+    if len(phi) > FLOAT_STEP_MAX_UNKNOWNS:
+        return _Propagator(gain, index, np.hstack((phi, gain)), None, None)
     terms = None if cols is None else tuple(
         (col, np.ascontiguousarray(g)) for col, g in zip(cols, gain.T))
-    floats = phi.tolist() if len(phi) <= FLOAT_STEP_MAX_UNKNOWNS else None
-    return _Propagator(np.ascontiguousarray(phi), gain, terms, floats)
+    return _Propagator(gain, index, None, phi.tolist(), terms)
 
 
 class _SuperLU(NamedTuple):
@@ -481,6 +492,10 @@ class _CachedStepper:
         h_values = np.asarray(h_values, dtype=float)
         if not len(h_values):
             return np.empty((0, self.system.n))
+        h = h_values[0]
+        if not (h_values != h).any():
+            self.set_timestep(float(h))
+            return self._advance(x, b_next, b_now, times)
         cuts = (np.flatnonzero(h_values[1:] != h_values[:-1]) + 1).tolist()
         parts = []
         for a, b in zip([0, *cuts], [*cuts, len(h_values)]):
@@ -494,11 +509,13 @@ class _CachedStepper:
     def _advance(self, x, b_next, b_now, times) -> np.ndarray:
         """Run ``len(b_next)`` steps of the current ``h`` from ``x``.
 
-        Propagators (dense, expm): ``x = phi @ x + w[k]``, one mat-vec
-        and one add per step, the forcing terms ``w`` formed for the
-        whole run up front; on Python floats up to
-        :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns, whatever the run's
-        length.  SuperLU (sparse): one solve per step.
+        Propagators (dense, expm): one buffer holds each step's state
+        and, beside it, its stacked source columns, and a step is the
+        one mat-vec ``aug @ buf[k]`` written into the next row's state;
+        on Python floats up to :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns,
+        with the forcing terms formed for the whole run up front.
+        SuperLU (sparse): one solve per step.  A step's arithmetic is
+        the same whatever the run's length.
         """
         fac = self._fac
         x = np.ascontiguousarray(x, dtype=float)
@@ -510,15 +527,17 @@ class _CachedStepper:
                 rhs = M @ x
                 rhs += b[k]
                 x = states[k] = solve(rhs)
-        elif fac.phi_floats is not None:
+        elif fac.aug is None:
             states = _float_steps(fac.phi_floats, x, _forcing(b, fac))
         else:
-            states = _forcing(b, fac)
-            phi = fac.phi
-            for k in range(len(states)):  # indexing beats iterating rows
-                row = states[k]  # the forcing row, overwritten in place
-                row += np.dot(phi, x)
-                x = row
+            n, steps, aug = len(x), len(b), fac.aug
+            buf = np.empty((steps + 1, aug.shape[1]))
+            buf[0, :n] = x
+            buf[:steps, n:] = b if fac.cols is None else b[:, fac.cols]
+            states = buf[1:, :n]
+            step = aug.dot  # the method skips np.dot's dispatch
+            for k in range(steps):  # indexing beats iterating rows
+                step(buf[k], out=states[k])
         # one reduction; a non-finite sum may also be an overflow
         if not math.isfinite(np.add.reduce(states, axis=None)):
             _check_finite(states, times)

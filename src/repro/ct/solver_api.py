@@ -160,6 +160,23 @@ def tick_interval(t_prev, t):
                     snapped, interval)
 
 
+class HoldWeights(NamedTuple):
+    """Where each step's instants ``t`` fall in its activation's
+    interval from ``t0`` to ``t1``: ``fraction`` is ``(t - t0) / (t1 -
+    t0)``, ``after`` is ``t >= t1`` and ``before`` is ``t <= t0``,
+    elementwise.  An interpolating :class:`~repro.sync.InputHolder`
+    reads nothing else of the times (:meth:`~repro.sync.InputHolder.
+    replay`)."""
+
+    fraction: np.ndarray
+    after: np.ndarray
+    before: np.ndarray
+
+
+def _hold_weights(t, t0, t1, span) -> HoldWeights:
+    return HoldWeights((t - t0) / span, t >= t1, t <= t0)
+
+
 class WindowPlan(NamedTuple):
     """The internal steps :meth:`LinearTransientSolver.advance_to` takes
     through the activations at ``times``, for one
@@ -167,7 +184,13 @@ class WindowPlan(NamedTuple):
     interval starts at ``t_prev``; step ``k`` belongs to activation
     ``owner[k]`` and ``last[a]`` is activation ``a``'s last step (both
     None with one step each); a step reads its sources at ``ends``
-    (start + h) and ``starts`` (None when the method reads none)."""
+    (start + h) and ``starts`` (None when the method reads none).
+    ``at_end`` and ``at_start`` weigh those instants for the holders;
+    ``at_start`` is None when ``starts`` is, or when every step starts
+    at its activation's ``t_prev``.
+
+    Plans are shared (see :meth:`LinearTransientSolver.plan`): no
+    consumer may write to their arrays."""
 
     t_prev: np.ndarray
     times: np.ndarray
@@ -177,6 +200,50 @@ class WindowPlan(NamedTuple):
     targets: np.ndarray
     ends: np.ndarray
     starts: Optional[np.ndarray]
+    at_end: HoldWeights
+    at_start: Optional[HoldWeights]
+
+
+def _window_plan(t, times, h_internal, reads_start) -> Optional[WindowPlan]:
+    """:meth:`LinearTransientSolver.plan` from solver time ``t``."""
+    count = len(times)
+    t_prev = np.empty(count)
+    t_prev[0] = t
+    t_prev[1:] = times[:-1]
+    if not np.all(times > t_prev):
+        return None
+    intervals = tick_interval(t_prev, times)
+    if h_internal is None:
+        # One step per activation: no expansion.  Every step reads its
+        # end sources at start + h, which may differ from the target
+        # time by one ULP (replicated literally).
+        ends = t_prev + intervals
+        return WindowPlan(t_prev, times, None, None, intervals, times,
+                          ends, t_prev if reads_start else None,
+                          _hold_weights(ends, t_prev, times,
+                                        times - t_prev), None)
+    substeps = substep_counts(t_prev, times, h_internal)
+    last = np.cumsum(substeps) - 1
+    owner = np.repeat(np.arange(count), substeps)
+    k = np.arange(len(owner)) - (last + 1 - substeps)[owner]
+    h_values = (intervals / substeps)[owner]
+    t0, t1 = t_prev[owner], times[owner]
+    starts = t0 + k * h_values
+    ends = starts + h_values
+    targets = ends.copy()
+    targets[last] = times
+    span = t1 - t0
+    return WindowPlan(t_prev, times, owner, last, h_values, targets, ends,
+                      starts if reads_start else None,
+                      _hold_weights(ends, t0, t1, span),
+                      _hold_weights(starts, t0, t1, span)
+                      if reads_start else None)
+
+
+#: The last plan made, as ``(key, plan)``: the CT modules of a cluster
+#: period step through the same activations from the same time, so all
+#: but the first reuse the plan (one entry, compared exactly).
+_last_plan: tuple = (None, None)
 
 
 class LinearTransientSolver(TransientSolver):
@@ -261,34 +328,22 @@ class LinearTransientSolver(TransientSolver):
         """The steps :meth:`advance_to` would take from the current time
         through each of ``times`` in turn: per interval the same
         :func:`substep_counts` and :func:`tick_interval`.  None when
-        ``times`` do not rise strictly from the current time."""
-        count = len(times)
-        t_prev = np.empty(count)
-        t_prev[0] = self._t
-        t_prev[1:] = times[:-1]
-        if not np.all(times > t_prev):
-            return None
-        intervals = tick_interval(t_prev, times)
-        # backward Euler reads no start sources; every step reads its end
-        # sources at start + h, which may differ from the target time by
-        # one ULP (replicated literally)
+        ``times`` do not rise strictly from the current time.
+
+        A pure function of the solver time, ``h_internal``, whether the
+        method reads start sources and ``times``; a call with exactly
+        the inputs of the last one, by any solver, returns its plan.
+        """
+        global _last_plan
+        # backward Euler reads no start sources
         reads_start = self.variant == "expm" or self.method == "trapezoidal"
-        if self.h_internal is None:
-            # One step per activation: no expansion.
-            return WindowPlan(t_prev, times, None, None, intervals, times,
-                              t_prev + intervals,
-                              t_prev if reads_start else None)
-        substeps = substep_counts(t_prev, times, self.h_internal)
-        last = np.cumsum(substeps) - 1
-        owner = np.repeat(np.arange(count), substeps)
-        k = np.arange(len(owner)) - (last + 1 - substeps)[owner]
-        h_values = (intervals / substeps)[owner]
-        starts = t_prev[owner] + k * h_values
-        ends = starts + h_values
-        targets = ends.copy()
-        targets[last] = times
-        return WindowPlan(t_prev, times, owner, last, h_values, targets,
-                          ends, starts if reads_start else None)
+        key = (self._t, self.h_internal, reads_start, times.tobytes())
+        last_key, plan = _last_plan
+        if key != last_key:
+            plan = _window_plan(self._t, times, self.h_internal,
+                                reads_start)
+            _last_plan = key, plan
+        return plan
 
     def advance_window(self, times: np.ndarray, h_values: np.ndarray,
                        b_next: np.ndarray,

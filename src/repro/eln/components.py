@@ -26,11 +26,10 @@ from .network import Component, Stamper
 Waveform = Union[float, Callable[[float], float]]
 
 
-def _as_waveform(value: Waveform) -> Callable[[float], float]:
-    if callable(value):
-        return value
-    constant = float(value)
-    return lambda t: constant
+def _as_waveform(value: Waveform) -> Waveform:
+    """A callable waveform as it is, a constant as a float (the source
+    closures and the TDF window read a number without a call)."""
+    return value if callable(value) else float(value)
 
 
 class Resistor(Component):

@@ -283,10 +283,11 @@ class Network:
             pool[0], pool[1] = pool[1], pool[0]
             b[:] = 0.0
             for row, waveform, scale in source_rows:
+                value = waveform(t) if callable(waveform) else waveform
                 if scale == 1.0:
-                    b[row] += waveform(t)
+                    b[row] += value
                 else:
-                    b[row] += scale * waveform(t)
+                    b[row] += scale * value
             return b
 
         #: stamp-order source layout, consumed by the TDF window path

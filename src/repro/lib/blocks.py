@@ -20,21 +20,57 @@ from .seeding import SeedLike, as_generator
 
 
 class TdfSink(TdfModule):
-    """Records all consumed samples together with their sample times."""
+    """Records all consumed samples together with their sample times.
+
+    A block keeps its samples and times as arrays, and the ``samples``
+    and ``times`` lists take them in on first read: until a run's
+    record is read it holds a few arrays, not a Python float per
+    sample.  Scalar activations append to the lists directly.
+    """
 
     def __init__(self, name: str, parent: Optional[Module] = None,
                  rate: int = 1):
         super().__init__(name, parent)
         self.inp = TdfIn("inp", rate=rate)
-        self.samples: list[float] = []
-        self.times: list[float] = []
+        self._samples: list = []
+        self._times: list[float] = []
+        #: ``(list position, samples, times)`` of the blocks not yet in
+        #: the lists: each goes in after the first ``position`` entries
+        self._blocks: list = []
+
+    @property
+    def samples(self) -> list:
+        if self._blocks:
+            self._settle()
+        return self._samples
+
+    @property
+    def times(self) -> list[float]:
+        if self._blocks:
+            self._settle()
+        return self._times
+
+    def _settle(self) -> None:
+        """Move the pending blocks into the lists, each after the scalar
+        samples that preceded it."""
+        positions, samples, times = zip(*self._blocks)
+        self._blocks = []
+        if positions[0] == len(self._samples):  # no scalar samples after
+            self._samples += np.concatenate(samples).tolist()
+            self._times += np.concatenate(times).tolist()
+            return
+        # last block first, so each earlier position still holds
+        for position, block_samples, block_times in zip(
+                positions[::-1], samples[::-1], times[::-1]):
+            self._samples[position:position] = block_samples.tolist()
+            self._times[position:position] = block_times.tolist()
 
     def processing(self):
         base = self.local_time.to_seconds()
         step = self.timestep.to_seconds() / self.inp.rate
         for k in range(self.inp.rate):
-            self.samples.append(self.inp.read(k))
-            self.times.append(base + k * step)
+            self._samples.append(self.inp.read(k))
+            self._times.append(base + k * step)
 
     def processing_block(self, n):
         if not self.inp.block_readable():
@@ -42,20 +78,25 @@ class TdfSink(TdfModule):
             # would coerce them to float).
             self._scalar_fallback(n)
             return
-        self.samples.extend(self.inp.read_block(n).tolist())
-        self.times.extend(self.sample_times(n, self.inp.rate).tolist())
+        # a copy: the read may be a view of the signal's buffer
+        self._blocks.append((len(self._samples),
+                             np.array(self.inp.read_block(n)),
+                             self.sample_times(n, self.inp.rate)))
 
     def as_arrays(self):
         return np.asarray(self.times), np.asarray(self.samples)
 
     def checkpoint_state(self):
-        return {"samples": list(self.samples),
-                "times": list(self.times)}
+        if self._blocks:
+            self._settle()
+        return {"samples": list(self._samples),
+                "times": list(self._times)}
 
     def restore_state(self, data):
         if data is not None:
-            self.samples = list(data["samples"])
-            self.times = list(data["times"])
+            self._blocks = []
+            self._samples = list(data["samples"])
+            self._times = list(data["times"])
 
 
 class LinearAmp(TdfModule):

@@ -120,7 +120,10 @@ class CtTdfModule(TdfModule):
         self.gating_enabled = False
         self.gating_tolerance = 0.0
         self._last_inputs: Optional[tuple] = None
-        self._last_delta = np.inf
+        #: how far the last step moved the state (gating memory), or
+        #: the ``(state, state before)`` pair it is computed from when
+        #: first read (:meth:`_state_change`)
+        self._last_delta: float | tuple = np.inf
         #: pre-bound ``moc.<moc>.seconds`` counter (None = telemetry off).
         self._m_solver_seconds = None
         #: ``(row, input slot or None, waveform, scale)`` per source row
@@ -294,14 +297,14 @@ class CtTdfModule(TdfModule):
             for (_port, holder), value in zip(self._inputs, samples):
                 holder.push(value, t_prev, t_now)
             if (self.gating_enabled and self._last_inputs == samples
-                    and self._last_delta <= self.gating_tolerance):
+                    and self._state_change() <= self.gating_tolerance):
                 self.skipped_activations += 1
                 solver.skip_to(t_now)
                 states[a] = solver.state
                 continue
             before = np.array(solver.state, copy=True)
-            states[a] = state = solver.advance_to(t_now)
-            self._last_delta = _largest_change(state, before)
+            states[a] = solver.advance_to(t_now)
+            self._last_delta = states[a], before
             self._last_inputs = samples
         return states
 
@@ -311,10 +314,11 @@ class CtTdfModule(TdfModule):
         The solver plans the internal steps ``advance_to`` would take
         (:meth:`~repro.ct.solver_api.LinearTransientSolver.plan`); every
         source row is evaluated at each step's end and, where the method
-        reads it, start — the holders replayed on arrays, bit for bit —
-        and one ``advance_window`` call runs the steps.  Holders and the
-        gating memory end as the last activation's ``advance_to`` would
-        leave them (checkpoint parity).  The first activation's
+        reads it, start — the holders replayed on arrays, bit for bit,
+        through a plan the cluster period's CT modules share — and one
+        ``advance_window`` call runs the steps.  Holders and the gating
+        memory end as the last activation's ``advance_to`` would leave
+        them (checkpoint parity).  The first activation's
         consistent initialization runs per activation.  None when the
         solver cannot plan the window (nothing has changed then).
         """
@@ -358,11 +362,17 @@ class CtTdfModule(TdfModule):
         if plan.last is not None:
             states = states[plan.last]
         self._last_inputs = tuple(float(column[-1]) for column in columns)
-        self._last_delta = _largest_change(
-            states[-1], states[-2] if len(states) >= 2 else before)
+        self._last_delta = (states[-1],
+                            states[-2] if len(states) >= 2 else before)
         return states if head is None else np.concatenate([head, states])
 
     # -- internals -----------------------------------------------------------------
+
+    def _state_change(self) -> float:
+        """The gating memory, computed from its pair on first read."""
+        if isinstance(self._last_delta, tuple):
+            self._last_delta = _largest_change(*self._last_delta)
+        return self._last_delta
 
     def _snap(self) -> None:
         """Re-solve algebraic unknowns against the current inputs."""
@@ -387,7 +397,7 @@ class CtTdfModule(TdfModule):
             "holders": [holder.state() for _port, holder in self._inputs],
             "skipped_activations": self.skipped_activations,
             "last_inputs": self._last_inputs,
-            "last_delta": self._last_delta,
+            "last_delta": self._state_change(),
         }
 
     def restore_state(self, data) -> None:

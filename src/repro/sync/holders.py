@@ -60,37 +60,39 @@ class InputHolder:
         (:class:`~repro.ct.solver_api.WindowPlan`), where ``values[a]``
         is the sample pushed at activation ``a``: the waveform at every
         step's end, and at every step's start where the plan reads it
-        (else None), bit-identical to the scalar calls.  Leaves the
-        holder as the last activation's :meth:`push` would.
+        (else None), bit-identical to the scalar calls.  The plan's
+        weights carry the times, so only the values are computed here.
+        Leaves the holder as the last activation's :meth:`push` would.
         """
         count = len(values)
         previous = np.empty(count)
         previous[0] = self.value
         previous[1:] = values[:-1]
-        t0, t1, owner = plan.t_prev, plan.times, plan.owner
         if count >= 2:
             self.value = float(values[-2])
-        self.push(float(values[-1]), float(t0[-1]), float(t1[-1]))
+        self.push(float(values[-1]), float(plan.t_prev[-1]),
+                  float(plan.times[-1]))
+        owner = plan.owner
         if owner is not None:
-            t0, t1 = t0[owner], t1[owner]
             previous, values = previous[owner], values[owner]
         if not self.interpolate:
             return values, values
-        at_end = held_values(plan.ends, t0, t1, previous, values)
+        at_end = held_values(plan.at_end, previous, values)
         if plan.starts is None:
             return at_end, None
         if owner is None:
             return at_end, previous  # every step starts at its t0
-        return at_end, held_values(plan.starts, t0, t1, previous, values)
+        return at_end, held_values(plan.at_start, previous, values)
 
 
-def held_values(t, t0, t1, previous, value):
+def held_values(weights, previous, value):
     """Vectorized :meth:`InputHolder.__call__` of interpolating holders.
 
-    Elementwise over instants ``t`` and sample pairs ``previous`` (held
-    at ``t0``) / ``value`` (at ``t1``), with ``t1 > t0``; bit-identical
-    to the scalar call per element.
+    Elementwise over the sample pairs ``previous`` (held at ``t0``) /
+    ``value`` (at ``t1``, with ``t1 > t0``) and the instants'
+    :class:`~repro.ct.solver_api.HoldWeights`; bit-identical to the
+    scalar call per element.
     """
-    fraction = (t - t0) / (t1 - t0)
-    interp = previous + fraction * (value - previous)
-    return np.where(t >= t1, value, np.where(t <= t0, previous, interp))
+    interp = previous + weights.fraction * (value - previous)
+    return np.where(weights.after, value,
+                    np.where(weights.before, previous, interp))

@@ -4,8 +4,9 @@ A *cluster* is a maximal set of TDF modules connected through TDF
 signals.  Its static analysis (free of side effects) performs, in
 order:
 
-1. **Rate analysis** — the SDF balance equations over port rates yield
-   each module's repetition count per cluster period.
+1. **Rate analysis** — a port rated below 1 is a finding; the SDF
+   balance equations over the port rates yield each module's repetition
+   count per cluster period.
 2. **Timestep propagation** — user-requested module/port timesteps are
    converted into cluster-period constraints (``period = repetitions *
    module_timestep``; ``module_timestep = rate * port_timestep``); all
@@ -198,6 +199,14 @@ class TdfCluster:
             and signal.writer.rate >= 1
             for reader in signal.readers
             if reader.module is not None and reader.rate >= 1]
+        #: (port full name, detail) for bound ports rated below 1 (the
+        #: verifier's TDF010); elaboration raises them before dividing
+        #: by a rate.
+        self.rate_errors = [
+            (port.full_name(), f"port rate {port.rate} must be >= 1")
+            for signal in self.signals
+            for port in (signal.writer, *signal.readers)
+            if port is not None and port.rate < 1]
         #: (module full name, detail) balance-equation conflicts.
         self.rate_conflicts: list[tuple[str, str]] = []
         #: repetition counts per module id; empty when rates conflict.
@@ -332,6 +341,11 @@ class TdfCluster:
             module.initialize()
 
     def _raise_first_finding(self) -> None:
+        if self.rate_errors:
+            location, detail = self.rate_errors[0]
+            raise ElaborationError(
+                f"in TDF cluster {self.name!r}, {location!r}: {detail}"
+            )
         if self.rate_conflicts:
             location, detail = self.rate_conflicts[0]
             raise SchedulingError(
@@ -366,9 +380,10 @@ class TdfCluster:
         """Compiled schedule for ``periods``: (module, count, use_block).
 
         ``use_block`` routes the run through ``processing_block``; runs
-        of modules that do not opt in (or single activations, where the
-        scalar call is cheaper, or runs whose inputs are not fully
-        available up front) execute sample-at-a-time.
+        of modules that do not opt in (or single activations that move
+        one sample per port, where the scalar call is cheaper, or runs
+        whose inputs are not fully available up front) execute
+        sample-at-a-time.
         """
         cached = self._entry_cache.get(periods)
         if cached is None:
@@ -378,8 +393,9 @@ class TdfCluster:
                  for module in self.modules})
             cached = [
                 (module, count,
-                 self.block_mode and count > 1 and fusable
-                 and module.supports_block())
+                 self.block_mode and fusable and module.supports_block()
+                 and (count > 1 or any(port.rate > 1
+                                       for port in module.tdf_ports())))
                 for module, count, fusable in entries
             ]
             self._entry_cache[periods] = cached

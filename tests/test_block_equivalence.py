@@ -11,6 +11,11 @@ cluster, object-mode (non-float payload) fallbacks, and the modules
 that drive or sample DE signals through converter ports.
 """
 
+import cProfile
+import pathlib
+import pickle
+import pstats
+
 import numpy as np
 import pytest
 
@@ -163,6 +168,84 @@ def _normalize(value):
     return value
 
 
+# -- the sink's record ----------------------------------------------------------
+
+
+class SinkTop(Module):
+    """A sine into a sink: with no DE coupling the cluster batches, so
+    run lengths decide which wakes run one period (a scalar activation)
+    and which run several (a block)."""
+
+    def __init__(self):
+        super().__init__("sink_top")
+        self.s = TdfSignal("s")
+        self.src = SineSource("src", 3e3, amplitude=0.5, parent=self,
+                              timestep=us(1))
+        self.sink = TdfSink("sink", parent=self)
+        self.src.out(self.s)
+        self.sink.inp(self.s)
+
+
+#: run lengths (us) giving block, scalar, block, block, scalar, block
+#: wakes at tdf_batch=4
+SINK_SEGMENTS = (4, 6, 1, 9)
+
+
+def test_sink_record_mixes_scalar_and_block_activations(monkeypatch):
+    """Blocks held as arrays take their place among the samples of
+    scalar activations, whether the record is read between runs or
+    only at the end: byte for byte the scalar engine's record."""
+    kinds = []
+    processing = TdfSink.processing
+    processing_block = TdfSink.processing_block
+
+    def scalar(self):
+        kinds.append("scalar")
+        processing(self)
+
+    def block(self, n):
+        kinds.append("block")
+        processing_block(self, n)
+
+    monkeypatch.setattr(TdfSink, "processing", scalar)
+    monkeypatch.setattr(TdfSink, "processing_block", block)
+    reference = run_sim(SinkTop, us(sum(SINK_SEGMENTS)), block=False)
+    kinds.clear()
+    for read_between in (False, True):
+        top = SinkTop()
+        sim = Simulator(top, tdf_block=True, tdf_batch=4)
+        for segment in SINK_SEGMENTS:
+            sim.run(us(segment))
+            if read_between:
+                assert len(top.sink.samples) == len(top.sink.times) \
+                    == sim.tdf_registry.clusters[0].period_count
+        assert_bytes_equal(reference.sink, top.sink)
+    assert kinds[:6] == ["block", "scalar", "block", "block", "scalar",
+                         "block"]
+
+
+def test_sink_record_resumes_from_a_checkpoint():
+    """A checkpoint taken while blocks are still held as arrays carries
+    the whole record, and the resumed block run ends with the
+    uninterrupted run's record."""
+    reference = run_sim(SinkTop, us(sum(SINK_SEGMENTS)), block=False)
+    head_top = SinkTop()
+    head_sim = Simulator(head_top, tdf_block=True, tdf_batch=4)
+    for segment in SINK_SEGMENTS[:2]:
+        head_sim.run(us(segment))
+    payload = head_sim.capture_checkpoint()
+    tail_top = SinkTop()
+    tail_sim = Simulator(tail_top, tdf_block=True, tdf_batch=4)
+    tail_sim.restore_checkpoint(payload)
+    tail_sim.run(us(sum(SINK_SEGMENTS[2:])))
+    assert_bytes_equal(reference.sink, tail_top.sink)
+    count = len(head_top.sink.samples)
+    assert count == 11
+    for attr in ("samples", "times"):
+        assert getattr(head_top.sink, attr) \
+            == getattr(reference.sink, attr)[:count]
+
+
 # -- bench_e4: pipelined ADC testbench ---------------------------------------
 
 
@@ -230,7 +313,10 @@ def test_pipelined_adc_cross_mode_resume():
 
 def test_adsl_system_bit_identical():
     """The full mixed-signal prototype (DE software, converter ports,
-    CT line model, decimating RX path) matches in both modes."""
+    CT line model, decimating RX path) matches in both modes: the CT
+    taps and every CT module's checkpoint byte for byte, through shared
+    window plans, one-call steps at 4 and 13 unknowns and the CIC's
+    block path."""
     ref = AdslSystem()
     Simulator(ref, tdf_block=False).run(SimTime(6, "ms"))
     got = AdslSystem()
@@ -240,6 +326,51 @@ def test_adsl_system_bit_identical():
                                   np.asarray(got.hook_sink.samples))
     for reg in (REG_LINE_LEVEL, REG_HOOK_STATUS):
         assert ref.registers.peek(reg) == got.registers.peek(reg)
+    for tap in ("tap_drive", "tap_sub"):
+        assert_bytes_equal(getattr(ref, tap), getattr(got, tap))
+    for ct in ("smoothing", "line", "antialias"):
+        assert pickle.dumps(_normalize(getattr(ref, ct).checkpoint_state())) \
+            == pickle.dumps(_normalize(getattr(got, ct).checkpoint_state()))
+
+
+def test_adsl_block_run_plans_once_per_period(monkeypatch):
+    """The three CT sections share one window plan per cluster period,
+    which none of them writes to, and the CIC decimator's single rate-32
+    activation per period runs as a block."""
+    plans = []
+    plan = LinearTransientSolver.plan
+
+    def freeze(value):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, tuple):
+            for item in value:
+                freeze(item)
+
+    def frozen_plan(self, times):
+        made = plan(self, times)
+        freeze(made)
+        plans.append(made)
+        return made
+
+    cic_blocks = []
+    cic_block = CicDecimator.processing_block
+
+    def counted_block(self, n):
+        cic_blocks.append(n)
+        cic_block(self, n)
+
+    monkeypatch.setattr(LinearTransientSolver, "plan", frozen_plan)
+    monkeypatch.setattr(CicDecimator, "processing_block", counted_block)
+    top = AdslSystem()
+    sim = Simulator(top, tdf_block=True)
+    sim.run(us(320))
+    [cluster] = sim.tdf_registry.clusters
+    periods = cluster.period_count
+    assert periods == 11
+    assert len(plans) == 3 * periods
+    assert len({id(made) for made in plans}) == periods
+    assert cic_blocks == [1] * periods
 
 
 # -- multirate + mixed block/scalar cluster ----------------------------------
@@ -718,6 +849,25 @@ def test_window_replays_every_source_kind(monkeypatch, kind, oversample,
         assert_bytes_equal(ref_sink, got_sink)
     assert counters == ref_counters
     assert counters["solver.steps"] == oversample * 300
+
+
+def test_window_calls_no_constant_source_waveform():
+    """ELN constant sources stay numbers, as LSF constants do, so a
+    block run's windows call nothing for them (8,004 calls over this
+    run when each was wrapped in a lambda); the callable source is
+    still called at every step end and start, and once by the first
+    activation's consistent initialization."""
+    top = MixedSourceTop("dense", 1, "trapezoidal")
+    sim = Simulator(top, tdf_block=True, tdf_batch=16)
+    sim.elaborate()
+    profile = cProfile.Profile()
+    profile.runcall(sim.run, us(2000))
+    calls = {}
+    for (path, _line, name), stats in pstats.Stats(profile).stats.items():
+        key = pathlib.Path(path).name, name
+        calls[key] = calls.get(key, 0) + stats[1]
+    assert not [key for key in calls if key[0] == "components.py"]
+    assert calls[pathlib.Path(__file__).name, "_wobble"] == 2 * 2000 + 1
 
 
 def test_oversampled_block_run_takes_the_window_path(monkeypatch):

@@ -323,6 +323,32 @@ class TestFloatSteps:
         assert pstats.Stats(profile).total_calls <= 50
 
 
+class TestOneCallSteps:
+    @pytest.mark.parametrize("variant", ["dense", "expm"])
+    def test_source_free_network(self, variant):
+        """Above three unknowns a step is one mat-vec of ``[phi |
+        gain]`` with the state and the source columns side by side; a
+        network with no source has no source columns.  Its window
+        equals the step loop byte for byte, and the charge decays."""
+        net = Network()
+        net.add(Capacitor("C0", "n1", "0", 1e-9))
+        net.add(Resistor("R0", "n1", "0", 1e3))
+        for k in range(1, 4):
+            net.add(Resistor(f"R{k}", f"n{k}", f"n{k + 1}", 1e3))
+            net.add(Capacitor(f"C{k}", f"n{k + 1}", "0", 1e-9))
+        dae = net.assemble()[0]
+        assert dae.n == 4 and dae.source.rows == ()
+        stepper = make_stepper(dae, 1e-6, "trapezoidal", variant)
+        times = np.arange(50) * 1e-6
+        x0 = np.array([1.0, 0.0, 0.0, 0.0])
+        window = stepper.step_block(x0, times)
+        x = x0
+        for k, t in enumerate(times):
+            x = stepper.step(x, t)
+            assert x.tobytes() == window[k].tobytes()
+        assert 0.0 < abs(window[-1]).max() < 0.01
+
+
 class TestLinearTransientSolver:
     def test_advance_matches_direct_transient(self):
         dae, tau = rc_dae()

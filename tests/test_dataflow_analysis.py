@@ -102,6 +102,26 @@ def test_negative_delay_ring_deadlocks():
         Simulator(build()).elaborate()
 
 
+def test_zero_rate_port_is_an_elaboration_error():
+    """A port built with ``rate=0`` is the verifier's TDF010 alone, and
+    elaboration raises an ElaborationError naming the port instead of
+    dividing a timestep by zero."""
+    def build():
+        top = Module("top")
+        src = HeadSource("src", top, rate=0, timestep=SimTime(1, "us"))
+        sink = TailSink("sink", top)
+        sig = TdfSignal("s")
+        src.out(sig)
+        sink.inp(sig)
+        return top
+
+    report = verify(build())
+    assert {(d.rule, d.location) for d in report
+            if d.severity == "error"} == {("TDF010", "top.src.out")}
+    with pytest.raises(ElaborationError, match="'top.src.out'.*rate 0"):
+        Simulator(build()).elaborate()
+
+
 def test_negative_tokens_fire_once_they_are_made_up():
     """An edge starting at -1 tokens keeps its consumer from firing
     until the producer has made the deficit up, and then holds back
