@@ -16,8 +16,9 @@ once per value.
 Three interchangeable stepper variants share that contract:
 
 * ``dense`` — the one-step propagator ``phi = A^-1 M`` of the iteration
-  matrix ``A`` plus ``A^-1`` on the source columns, so a step is one
-  mat-vec and one add; best below the sparsity crossover;
+  matrix ``A`` beside ``A^-1`` on the source columns, so a step is one
+  mat-vec over the state and the source columns; best below the
+  sparsity crossover;
 * ``sparse`` — SuperLU (``splu``) on ``scipy.sparse`` matrices, one solve
   per step, for the large ELN networks where a dense ``phi`` becomes
   quadratic waste;
@@ -504,7 +505,7 @@ class _CachedStepper:
                 x, b_next[a:b], None if b_now is None else b_now[a:b],
                 None if times is None else times[a:b]))
             x = parts[-1][-1]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.concatenate(parts)
 
     def _advance(self, x, b_next, b_now, times) -> np.ndarray:
         """Run ``len(b_next)`` steps of the current ``h`` from ``x``.

@@ -73,10 +73,11 @@ class Stamper:
         self._c_rows: list[int] = []
         self._c_cols: list[int] = []
         self._c_vals: list[float] = []
-        #: time-dependent source contributions: (row, waveform, scale)
-        #: triples — the row accumulates ``scale * waveform(t)``.
+        #: source contributions: (row, waveform, scale) triples — the
+        #: row accumulates ``scale * waveform(t)``, or ``scale *
+        #: waveform`` for a constant.
         self.sources: list[
-            tuple[int, Callable[[float], float], float]
+            tuple[int, Callable[[float], float] | float, float]
         ] = []
 
     # -- index resolution ---------------------------------------------------
@@ -125,7 +126,7 @@ class Stamper:
             self._c_vals.append(value)
 
     def source_entry(self, row: int,
-                     waveform: Callable[[float], float],
+                     waveform: Callable[[float], float] | float,
                      scale: float = 1.0) -> None:
         if row >= 0:
             self.sources.append((row, waveform, scale))

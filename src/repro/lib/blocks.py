@@ -55,7 +55,7 @@ class TdfSink(TdfModule):
         samples that preceded it."""
         positions, samples, times = zip(*self._blocks)
         self._blocks = []
-        if positions[0] == len(self._samples):  # no scalar samples after
+        if positions[0] == len(self._samples):  # no scalar sample between
             self._samples += np.concatenate(samples).tolist()
             self._times += np.concatenate(times).tolist()
             return
