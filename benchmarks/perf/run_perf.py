@@ -11,9 +11,10 @@ Usage::
 
     python benchmarks/perf/run_perf.py                # full run
     python benchmarks/perf/run_perf.py --quick        # CI-sized run
-    python benchmarks/perf/run_perf.py --output BENCH_PR3.json
+    python benchmarks/perf/run_perf.py --baseline \
+        --output BENCH_PR4.json                       # new baseline
     python benchmarks/perf/run_perf.py --quick \
-        --check-regression BENCH_PR3.json             # gate CI
+        --check-regression BENCH_PR4.json             # gate CI
 
 The regression gate compares *speedups* (block vs scalar on the same
 machine and run size), not absolute samples/sec, so a committed

@@ -19,6 +19,11 @@ from .process import METHOD, THREAD, Process
 class Module:
     """Base class for every structural element of a design."""
 
+    #: the children's names, for the duplicate check: made with the
+    #: first child, so a leaf module carries none (only
+    #: :meth:`_add_child` adds to ``children``)
+    _child_names: Optional[set] = None
+
     def __init__(self, name: str, parent: Optional["Module"] = None):
         self.name = name
         self.parent = parent
@@ -30,11 +35,15 @@ class Module:
     # -- hierarchy -----------------------------------------------------------
 
     def _add_child(self, child: "Module") -> None:
-        if any(c.name == child.name for c in self.children):
+        names = self._child_names
+        if names is None:
+            names = self._child_names = set()
+        elif child.name in names:
             raise ElaborationError(
                 f"module {self.full_name()!r} already has a child "
                 f"named {child.name!r}"
             )
+        names.add(child.name)
         self.children.append(child)
 
     def full_name(self) -> str:

@@ -29,7 +29,11 @@ Three interchangeable stepper variants share that contract:
 Propagators and factorizations are cached per timestep value (an LRU
 keyed on ``h``) and invalidated only by :meth:`~LinearStepper.invalidate`
 / :meth:`~LinearStepper.rebind` on topology or switch events — never per
-step.
+step.  Beside them, a dense or expm stepper keeps one operator per
+(``h``, substep count) for sources affine in an activation's input
+vector (:meth:`~LinearStepper.step_held`): the k steps of one
+synchronization interval folded into one map, applied like a one-step
+propagator.
 """
 
 from __future__ import annotations
@@ -362,12 +366,13 @@ class _Propagator(NamedTuple):
 
     Above :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns ``aug`` is ``[phi |
     gain]``, so a step is one mat-vec of ``aug`` with the state and the
-    source columns side by side (see :meth:`_CachedStepper._advance`).
-    Up to it ``phi_floats`` is ``phi`` as nested Python floats (see
+    source columns side by side (see :func:`_propagate`).  Up to it
+    ``phi_floats`` is ``phi`` as nested Python floats (see
     :func:`_float_steps`) and ``terms`` the ``(column, gain column)``
-    pairs :func:`_forcing` sums (None when ``cols`` is); ``aug`` is
-    then None."""
+    pairs :func:`_forcing` sums (None when :func:`_forcing` takes one
+    mat-vec per step instead); ``aug`` is then None."""
 
+    phi: np.ndarray
     gain: np.ndarray
     cols: Optional[np.ndarray]
     aug: Optional[np.ndarray]
@@ -375,15 +380,41 @@ class _Propagator(NamedTuple):
     terms: Optional[tuple]
 
 
-def _propagator(phi, gain, cols) -> _Propagator:
+def _propagator(phi, gain, cols, terms=None) -> _Propagator:
     """Pack ``phi`` and the source propagator ``gain``, whose columns
-    are the stacked source columns ``cols`` (every column when None)."""
+    are the stacked source columns ``cols`` (every column when None).
+    Float steps sum ``gain`` column by column over ``terms`` (default
+    ``cols``; None takes one mat-vec per step)."""
     index = None if cols is None else np.array(cols, dtype=np.intp)
     if len(phi) > FLOAT_STEP_MAX_UNKNOWNS:
-        return _Propagator(gain, index, np.hstack((phi, gain)), None, None)
-    terms = None if cols is None else tuple(
-        (col, np.ascontiguousarray(g)) for col, g in zip(cols, gain.T))
-    return _Propagator(gain, index, None, phi.tolist(), terms)
+        return _Propagator(phi, gain, index, np.hstack((phi, gain)), None,
+                           None)
+    terms = cols if terms is None else terms
+    if terms is not None:
+        terms = tuple((col, np.ascontiguousarray(g))
+                      for col, g in zip(terms, gain.T))
+    return _Propagator(phi, gain, index, None, phi.tolist(), terms)
+
+
+def _propagate(fac: _Propagator, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The states of ``len(b)`` steps ``x = phi @ x + gain @ b[k][cols]``
+    from ``x``.  Above :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns one
+    buffer holds each step's state and, beside it, its stacked source
+    columns, and a step is the one mat-vec ``aug @ buf[k]`` written
+    into the next row's state; up to it the steps run on Python floats,
+    with the forcing terms formed for the whole run up front.  A step's
+    arithmetic is the same whatever the run's length."""
+    if fac.aug is None:
+        return _float_steps(fac.phi_floats, x, _forcing(b, fac))
+    n, steps, aug = len(x), len(b), fac.aug
+    buf = np.empty((steps + 1, aug.shape[1]))
+    buf[0, :n] = x
+    buf[:steps, n:] = b if fac.cols is None else b[:, fac.cols]
+    states = buf[1:, :n]
+    step = aug.dot  # the method skips np.dot's dispatch
+    for k in range(steps):  # indexing beats iterating rows
+        step(buf[k], out=states[k])
+    return states
 
 
 class _SuperLU(NamedTuple):
@@ -404,11 +435,14 @@ class _CachedStepper:
     ``factorizations`` counts every build performed, ``cache_hits``
     every reuse of a cached one, and ``refactorizations`` the builds
     forced by :meth:`invalidate` (topology/switch events) rather than
-    by a new timestep value.
+    by a new timestep value.  The activation operators of
+    :meth:`step_held` are kept beside the propagators and dropped with
+    them; building one is not a factorization.
     """
 
     def _init_cache(self) -> None:
         self._cache: OrderedDict = OrderedDict()
+        self._operators: dict = {}
         self._pending_refactor = False
         self.factorizations = 0
         self.refactorizations = 0
@@ -440,6 +474,7 @@ class _CachedStepper:
         """Drop every cached factorization and refactorize the current
         timestep (called on topology/switch events)."""
         self._cache.clear()
+        self._operators.clear()
         self._pending_refactor = True
         self._fac = self._factors(self.h)
 
@@ -507,16 +542,59 @@ class _CachedStepper:
             x = parts[-1][-1]
         return np.concatenate(parts)
 
-    def _advance(self, x, b_next, b_now, times) -> np.ndarray:
-        """Run ``len(b_next)`` steps of the current ``h`` from ``x``.
+    def step_held(self, x: np.ndarray, substeps: int, inputs: np.ndarray,
+                  times, drive: Callable[[], tuple]) -> np.ndarray:
+        """Advance ``len(inputs)`` activations of ``substeps`` steps of
+        the current ``h`` each, one operator application per activation.
 
-        Propagators (dense, expm): one buffer holds each step's state
-        and, beside it, its stacked source columns, and a step is the
-        one mat-vec ``aug @ buf[k]`` written into the next row's state;
-        on Python floats up to :data:`FLOAT_STEP_MAX_UNKNOWNS` unknowns,
-        with the forcing terms formed for the whole run up front.
-        SuperLU (sparse): one solve per step.  A step's arithmetic is
-        the same whatever the run's length.
+        The sources are affine in each activation's input vector: at
+        fraction ``f`` of activation ``a`` they are ``(at_start + f *
+        slope) @ inputs[a]``, with ``(at_start, slope) = drive()``.  The
+        ``substeps`` steps of an activation are then one map ``x' = P x
+        + Q inputs[a]``, built on first use per (``h``, ``substeps``)
+        and applied by :func:`_propagate` like a one-step propagator
+        whose source vector is ``inputs[a]``.  ``x`` is a float array
+        (a solver's state); ``times[a]`` is the instant a non-finite
+        state is reported at.  Returns each activation's end state;
+        dense and expm steppers only.
+        """
+        key = self.h, substeps
+        operators = self._operators
+        operator = operators.get(key)
+        if operator is None:
+            operator = operators[key] = self._lift(substeps, *drive())
+            if len(operators) > FACTOR_CACHE_SIZE:
+                del operators[next(iter(operators))]
+        states = _propagate(operator, x, inputs)
+        if not math.isfinite(np.add.reduce(states, axis=None)):
+            _check_finite(states, times)
+        return states
+
+    def _lift(self, substeps: int, at_start: np.ndarray,
+              slope: np.ndarray) -> _Propagator:
+        """The operator of :meth:`step_held`: the basis ``[x | inputs]``
+        propagated through ``substeps`` steps of the stacked-source rule
+        (:meth:`_stacked`), the sources at each step's start and end
+        read at fractions ``j / substeps`` of the activation."""
+        fac = self._fac
+        n, width = len(fac.phi), at_start.shape[1]
+        lifted = np.hstack((np.eye(n), np.zeros((n, width))))
+        for j in range(substeps):
+            start = at_start + (j / substeps) * slope
+            end = at_start + ((j + 1) / substeps) * slope
+            stacked = self._stacked(end.T, start.T)  # a row per input
+            if fac.cols is not None:
+                stacked = stacked[:, fac.cols]
+            lifted = fac.phi @ lifted
+            lifted[:, n:] += fac.gain @ stacked.T
+        return _propagator(lifted[:, :n], lifted[:, n:], None,
+                           terms=range(width))
+
+    def _advance(self, x, b_next, b_now, times) -> np.ndarray:
+        """Run ``len(b_next)`` steps of the current ``h`` from ``x``:
+        propagators (dense, expm) through :func:`_propagate`, SuperLU
+        (sparse) with one solve per step.  A step's arithmetic is the
+        same whatever the run's length.
         """
         fac = self._fac
         x = np.ascontiguousarray(x, dtype=float)
@@ -528,17 +606,8 @@ class _CachedStepper:
                 rhs = M @ x
                 rhs += b[k]
                 x = states[k] = solve(rhs)
-        elif fac.aug is None:
-            states = _float_steps(fac.phi_floats, x, _forcing(b, fac))
         else:
-            n, steps, aug = len(x), len(b), fac.aug
-            buf = np.empty((steps + 1, aug.shape[1]))
-            buf[0, :n] = x
-            buf[:steps, n:] = b if fac.cols is None else b[:, fac.cols]
-            states = buf[1:, :n]
-            step = aug.dot  # the method skips np.dot's dispatch
-            for k in range(steps):  # indexing beats iterating rows
-                step(buf[k], out=states[k])
+            states = _propagate(fac, x, b)
         # one reduction; a non-finite sum may also be an overflow
         if not math.isfinite(np.add.reduce(states, axis=None)):
             _check_finite(states, times)
@@ -573,13 +642,9 @@ class LinearStepper(_CachedStepper):
                 f"unknown LinearStepper variant {variant!r}; "
                 "expected 'auto', 'dense' or 'sparse'"
             )
-        if variant == "auto":
-            variant = "sparse" if (
-                system.is_sparse or system.n >= SPARSE_AUTO_THRESHOLD
-            ) else "dense"
         self.system = system
         self.method = method
-        self.variant = variant
+        self.variant = stepper_variant(system, variant)
         self.h = h
         self._bind_matrices()
         self._init_cache()
@@ -727,6 +792,16 @@ class ExpmStepper(_CachedStepper):
         stats = super().stats()
         stats["solver.expm_cache_hits"] = self.cache_hits
         return stats
+
+
+def stepper_variant(system: LinearDae, variant: str) -> str:
+    """The variant :func:`make_stepper` steps ``system`` with:
+    ``"auto"`` is sparse for sparse systems and from
+    :data:`SPARSE_AUTO_THRESHOLD` unknowns, dense below."""
+    if variant != "auto":
+        return variant
+    sparse = system.is_sparse or system.n >= SPARSE_AUTO_THRESHOLD
+    return "sparse" if sparse else "dense"
 
 
 def make_stepper(system: LinearDae, h: float,

@@ -19,7 +19,7 @@ import abc
 import contextlib
 import math
 import warnings
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,6 +32,7 @@ from .linear import (
     backward_euler_step,
     check_step_size,
     make_stepper,
+    stepper_variant,
 )
 from .nonlinear import (
     NonlinearStepper,
@@ -46,7 +47,8 @@ class TransientSolver(abc.ABC):
     """Contract every pluggable continuous-time solver fulfils."""
 
     #: optional :class:`~repro.resilience.health.HealthMonitor`; when
-    #: installed, cooperating solvers report every accepted step.
+    #: installed, cooperating solvers report every accepted step (an
+    #: activation the linear solver steps as one operator, once).
     monitor = None
 
     @abc.abstractmethod
@@ -166,7 +168,9 @@ class HoldWeights(NamedTuple):
     t0)``, ``after`` is ``t >= t1`` and ``before`` is ``t <= t0``,
     elementwise.  An interpolating :class:`~repro.sync.InputHolder`
     reads nothing else of the times (:meth:`~repro.sync.InputHolder.
-    replay`)."""
+    replay`).  Only per-step windows use them (sparse sections and
+    time-waveform sources); a :class:`HeldWindow` folds the holders
+    into its operator."""
 
     fraction: np.ndarray
     after: np.ndarray
@@ -189,8 +193,8 @@ class WindowPlan(NamedTuple):
     ``at_start`` is None when ``starts`` is, or when every step starts
     at its activation's ``t_prev``.
 
-    Plans are shared (see :meth:`LinearTransientSolver.plan`): no
-    consumer may write to their arrays."""
+    Sections the one-activation operator steps (:class:`HeldWindow`)
+    need no plan; sparse sections and time-waveform sources do."""
 
     t_prev: np.ndarray
     times: np.ndarray
@@ -240,10 +244,39 @@ def _window_plan(t, times, h_internal, reads_start) -> Optional[WindowPlan]:
                       if reads_start else None)
 
 
-#: The last plan made, as ``(key, plan)``: the CT modules of a cluster
-#: period step through the same activations from the same time, so all
-#: but the first reuse the plan (one entry, compared exactly).
-_last_plan: tuple = (None, None)
+class _HeldInputs(NamedTuple):
+    """The input holders :meth:`LinearTransientSolver.hold_inputs`
+    bound, and the layout of an activation's input vector: the
+    previous samples of the ``previous`` interpolating holders, every
+    holder's current sample, then 1 when ``constant``; ``width``
+    entries in all."""
+
+    holders: tuple
+    interpolating: tuple
+    constant: bool
+    previous: int
+    width: int
+
+
+class HeldWindow:
+    """A window of activations stepped by one operator application
+    each (:meth:`LinearTransientSolver.held_window`): the activations
+    end at ``times``, each takes ``substeps`` internal steps of size
+    ``h``, and ``inputs[a]`` is activation ``a``'s input vector.  Its
+    length is its count of internal steps, as a per-step window's is.
+    """
+
+    __slots__ = ("times", "h", "substeps", "inputs")
+
+    def __init__(self, times: np.ndarray, h: float, substeps: int,
+                 inputs: np.ndarray):
+        self.times = times
+        self.h = h
+        self.substeps = substeps
+        self.inputs = inputs
+
+    def __len__(self) -> int:
+        return len(self.times) * self.substeps
 
 
 class LinearTransientSolver(TransientSolver):
@@ -252,7 +285,9 @@ class LinearTransientSolver(TransientSolver):
     ``advance_to`` divides the requested interval (tick-exact, see
     :func:`tick_interval`) into an integer number of internal steps no
     larger than ``h_internal`` (defaulting to the sync interval itself;
-    see :func:`substep_counts`).
+    see :func:`substep_counts`).  With input holders bound
+    (:meth:`hold_inputs`), an activation takes those steps as one
+    operator application.
     """
 
     def __init__(self, system: LinearDae,
@@ -269,6 +304,9 @@ class LinearTransientSolver(TransientSolver):
         self._t = 0.0
         self._x = np.zeros(system.n)
         self.step_count = 0
+        #: the bound holders once :meth:`hold_inputs` finds an operator
+        #: for every activation, else None
+        self._held: Optional[_HeldInputs] = None
 
     def rebind(self, system: LinearDae) -> None:
         """Adopt a re-assembled system (same unknown layout, new matrix
@@ -298,28 +336,114 @@ class LinearTransientSolver(TransientSolver):
                                       self._t - h_tiny, h_tiny)
         return self._x
 
+    def hold_inputs(self, holders: Sequence) -> None:
+        """Bind the input holders some source rows read, by input slot:
+        :class:`~repro.sync.InputHolder` objects, read through their
+        ``interpolate`` flag, ``value`` and ``state()``, ``(value,
+        previous, t_prev, t_now)``.
+
+        When every source row reads one of ``holders`` or a constant,
+        and the stepper is dense or expm, an activation whose holders
+        were all last pushed over exactly (solver time, target) takes
+        its internal steps as one operator application
+        (:meth:`~repro.ct.linear.LinearStepper.step_held`).  Its input
+        vector holds each interpolating holder's previous sample, every
+        holder's current one, and 1 when a row is constant.  Otherwise
+        activations step as before.
+        """
+        self._held = None
+        rows = getattr(self.system.source, "rows", None)
+        if rows is None \
+                or stepper_variant(self.system, self.variant) == "sparse":
+            return
+        holders = tuple(holders)
+        bound = {id(holder) for holder in holders}
+        constant = False
+        for _row, waveform, _scale in rows:
+            if id(waveform) in bound:
+                continue
+            if callable(waveform):
+                return
+            constant = True
+        interpolating = tuple(bool(holder.interpolate) for holder in holders)
+        previous = sum(interpolating)
+        self._held = _HeldInputs(holders, interpolating, constant, previous,
+                                 previous + len(holders) + constant)
+
+    def _drive(self) -> tuple:
+        """``(at_start, slope)`` of the bound holders' input vector in
+        the current system's source rows (see
+        :meth:`~repro.ct.linear.LinearStepper.step_held`)."""
+        held = self._held
+        previous = [slot for slot, flag in enumerate(held.interpolating)
+                    if flag]
+        slots = {id(holder): slot for slot, holder in enumerate(held.holders)}
+        shape = (self.system.n, held.width)
+        at_start, slope = np.zeros(shape), np.zeros(shape)
+        for row, waveform, scale in self.system.source.rows:
+            slot = slots.get(id(waveform))
+            if slot is None:
+                at_start[row, -1] += scale * waveform
+                continue
+            current = held.previous + slot
+            if held.interpolating[slot]:
+                # previous + f * (value - previous)
+                at_start[row, previous.index(slot)] += scale
+                slope[row, previous.index(slot)] -= scale
+                slope[row, current] += scale
+            else:
+                at_start[row, current] += scale
+        return at_start, slope
+
+    def _substeps(self, t_prev, t) -> int:
+        if self.h_internal is None:
+            return 1
+        return int(substep_counts(t_prev, t, self.h_internal))
+
+    def _set_step(self, h: float) -> None:
+        if self._stepper is None:
+            self._stepper = make_stepper(self.system, h, self.method,
+                                         self.variant)
+        else:
+            self._stepper.set_timestep(h)
+
+    def _held_inputs(self, t: float) -> Optional[list]:
+        """The bound holders' input vector for the activation to ``t``,
+        or None unless each was last pushed over (solver time, ``t``)."""
+        held = self._held
+        previous, current = [], []
+        for holder, interpolate in zip(held.holders, held.interpolating):
+            value, before, t_prev, t_now = holder.state()
+            if t_prev != self._t or t_now != t:
+                return None
+            if interpolate:
+                previous.append(before)
+            current.append(value)
+        return previous + current + [1.0] * held.constant
+
     def advance_to(self, t: float) -> np.ndarray:
         interval = check_target_time(t) - self._t
         if interval < 0:
             raise SolverError("cannot advance a transient solver backwards")
         if interval == 0:
             return self._x
-        if self.h_internal is None:
-            substeps = 1
-        else:
-            substeps = int(substep_counts(self._t, t, self.h_internal))
-        h = tick_interval(self._t, t) / substeps
-        if self._stepper is None:
-            self._stepper = make_stepper(self.system, h, self.method,
-                                         self.variant)
-        else:
-            self._stepper.set_timestep(h)
-        x = self._x
-        for k in range(substeps):
-            x = self._stepper.step(x, self._t + k * h)
-            self.step_count += 1
+        substeps = self._substeps(self._t, t)
+        self._set_step(tick_interval(self._t, t) / substeps)
+        inputs = None if self._held is None else self._held_inputs(t)
+        if inputs is not None:
+            x = self._stepper.step_held(self._x, substeps,
+                                        np.array([inputs]), (t,),
+                                        self._drive)[0]
+            self.step_count += substeps
             if self.monitor is not None:
-                self.monitor.after_step(self._t + (k + 1) * h, x)
+                self.monitor.after_step(t, x)
+        else:
+            x, h = self._x, self._stepper.h
+            for k in range(substeps):
+                x = self._stepper.step(x, self._t + k * h)
+                self.step_count += 1
+                if self.monitor is not None:
+                    self.monitor.after_step(self._t + (k + 1) * h, x)
         self._t = t
         self._x = x
         return x
@@ -328,45 +452,78 @@ class LinearTransientSolver(TransientSolver):
         """The steps :meth:`advance_to` would take from the current time
         through each of ``times`` in turn: per interval the same
         :func:`substep_counts` and :func:`tick_interval`.  None when
-        ``times`` do not rise strictly from the current time.
-
-        A pure function of the solver time, ``h_internal``, whether the
-        method reads start sources and ``times``; a call with exactly
-        the inputs of the last one, by any solver, returns its plan.
-        """
-        global _last_plan
+        ``times`` do not rise strictly from the current time."""
         # backward Euler reads no start sources
         reads_start = self.variant == "expm" or self.method == "trapezoidal"
-        key = (self._t, self.h_internal, reads_start, times.tobytes())
-        last_key, plan = _last_plan
-        if key != last_key:
-            plan = _window_plan(self._t, times, self.h_internal,
-                                reads_start)
-            _last_plan = key, plan
-        return plan
+        return _window_plan(self._t, times, self.h_internal, reads_start)
 
-    def advance_window(self, times: np.ndarray, h_values: np.ndarray,
-                       b_next: np.ndarray,
+    def held_window(self, times: np.ndarray,
+                    columns: Sequence[np.ndarray]) -> Optional[HeldWindow]:
+        """The activations at ``times`` as a :class:`HeldWindow`, the
+        bound holders' samples in ``columns`` (by input slot) pushed
+        one per activation; :meth:`advance_window` then steps each as
+        :meth:`advance_to` would after its push.
+
+        None without an operator (:meth:`hold_inputs`), or when the
+        first activation does not follow the solver time.  ``times``
+        are a TDF module's activation instants, evenly spaced ticks, so
+        each later interval is the first one's, in ticks and substeps
+        alike; only the first is computed (O(1) per window).
+        """
+        held = self._held
+        if held is None or not times[0] > self._t:
+            return None
+        substeps = self._substeps(self._t, times[0])
+        inputs = np.empty((len(times), held.width))
+        previous, current = 0, held.previous
+        for holder, interpolate, column in zip(held.holders,
+                                               held.interpolating, columns):
+            if interpolate:
+                inputs[0, previous] = holder.value
+                inputs[1:, previous] = column[:-1]
+                previous += 1
+            inputs[:, current] = column
+            current += 1
+        if held.constant:
+            inputs[:, -1] = 1.0
+        return HeldWindow(times, tick_interval(self._t, times[0]) / substeps,
+                          substeps, inputs)
+
+    def advance_window(self, times, h_values: Optional[np.ndarray] = None,
+                       b_next: Optional[np.ndarray] = None,
                        b_now: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance through a window of internal steps with pre-evaluated
-        source vectors (the TDF block fast path).
+        """Advance through a window of internal steps (the TDF block
+        fast path).
 
-        ``times[k]`` is the target time of step ``k`` and ``h_values[k]``
-        its step size; ``b_next[k]`` / ``b_now[k]`` are the source
-        vectors at the step's end / start.  A caller replaying
-        ``advance_to`` expands each synchronization interval into the
-        :func:`substep_counts` steps it takes, each the
+        ``times`` is a :class:`HeldWindow` (:meth:`held_window`): one
+        operator application per activation, bit-identical to
+        :meth:`advance_to` after each activation's push.  Returns each
+        activation's state, shape ``(len(times.times), n)``.
+
+        Otherwise ``times[k]`` is the target time of step ``k`` and
+        ``h_values[k]`` its step size; ``b_next[k]`` / ``b_now[k]`` are
+        the source vectors at the step's end / start.  A caller
+        replaying ``advance_to`` expands each synchronization interval
+        into the :func:`substep_counts` steps it takes, each the
         :func:`tick_interval` divided by the count, and the result is
         then bit-identical to those ``advance_to`` calls
         (:meth:`plan`).  Returns the per-step states, shape
         ``(len(times), n)``.
         """
-        if self._stepper is None:
-            self._stepper = make_stepper(self.system, float(h_values[0]),
-                                         self.method, self.variant)
-        states = self._stepper.step_window(self._x, h_values,
-                                           b_next, b_now, times)
-        self.step_count += len(times)
+        if isinstance(times, HeldWindow):
+            window, times = times, times.times
+            self._set_step(window.h)
+            states = self._stepper.step_held(self._x, window.substeps,
+                                             window.inputs, times,
+                                             self._drive)
+            steps = len(times) * window.substeps
+        else:
+            if self._stepper is None:
+                self._set_step(float(h_values[0]))
+            states = self._stepper.step_window(self._x, h_values,
+                                               b_next, b_now, times)
+            steps = len(times)
+        self.step_count += steps
         self._t = float(times[-1])
         self._x = states[-1].copy()
         return states

@@ -233,12 +233,12 @@ class Network:
 
     def node_names(self) -> list[str]:
         """All non-ground node names, in first-appearance order."""
-        seen: list[str] = []
+        seen: dict[str, None] = {}
         for component in self.components:
             for node in component.nodes:
-                if node != GROUND and node not in seen:
-                    seen.append(node)
-        return seen
+                if node != GROUND:
+                    seen[node] = None
+        return list(seen)
 
     def system_size(self) -> int:
         """Unknown count of the assembled MNA system (nodes + branch

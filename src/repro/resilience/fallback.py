@@ -59,7 +59,10 @@ class ResilientTransientSolver(TransientSolver):
         A :class:`~repro.resilience.health.HealthMonitor`; a fresh one
         is created when omitted.  It is also installed onto the primary
         (``primary.monitor``) so every *accepted internal step* is
-        guarded, not just interval endpoints.
+        guarded, not just interval endpoints.  A linear primary that
+        steps an activation as one operator (input holders and
+        constants only) has no internal states: the monitor sees the
+        activation's end state once.
     """
 
     #: Telemetry hub (:mod:`repro.observe`), installed by the embedding

@@ -109,7 +109,8 @@ class HealthMonitor:
     """Validates solver state and accumulates numerical health history.
 
     Solvers call :meth:`after_step` on every accepted step (the built-in
-    transient solvers do so when a monitor is installed);
+    transient solvers do so when a monitor is installed; the linear one
+    once per activation it steps as one operator);
     :class:`~repro.resilience.fallback.ResilientTransientSolver`
     additionally validates the state returned by every synchronization
     interval.  ``overflow_limit`` flags states that are still finite but
@@ -188,7 +189,12 @@ class HealthMonitor:
         raise error
 
     def after_step(self, t: float, x: np.ndarray) -> None:
-        """Per-accepted-step hook installed into cooperating solvers."""
+        """Per-accepted-step hook installed into cooperating solvers.
+
+        The built-in linear solver calls it once per activation it
+        steps as one operator (:meth:`~repro.ct.LinearTransientSolver.
+        hold_inputs`), with the activation's end state: the internal
+        steps folded into the operator have no state of their own."""
         self.check_state(x, t, context="accepted step")
 
     # -- reporting ----------------------------------------------------------

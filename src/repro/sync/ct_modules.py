@@ -94,9 +94,15 @@ class CtTdfModule(TdfModule):
       ``advance_to``; any solver, gating and the consistent
       initialization of the first activation.  It is the reference the
       window is tested against;
-    * window (:meth:`_step_window`): replay the holders vectorized over
-      the internal steps the solver plans, then one ``advance_window``;
-      the built-in linear solver on a row-layout source, in block runs.
+    * window (:meth:`_step_window`): one ``advance_window`` call for a
+      block's activations; the built-in linear solver on a row-layout
+      source, in block runs.
+
+    The built-in linear solver (a resilient module's primary tier
+    included) holds the input holders from :meth:`initialize` on
+    (:meth:`~repro.ct.LinearTransientSolver.hold_inputs`): where every
+    source row is a holder or a constant, each activation of either
+    strategy applies one cached operator.
     """
 
     #: MoC label used for telemetry (``moc.<moc>.seconds`` wall-time
@@ -184,6 +190,9 @@ class CtTdfModule(TdfModule):
                 solver.telemetry = telemetry
                 solver.monitor.telemetry = telemetry
         self._solver = solver
+        primary = getattr(solver, "primary", solver)
+        if isinstance(primary, LinearTransientSolver):
+            primary.hold_inputs([holder for _port, holder in self._inputs])
         self._window = self._window_layout(solver)
         solver.initialize(0.0, self._initial_state())
 
@@ -227,18 +236,16 @@ class CtTdfModule(TdfModule):
         Windows need the built-in linear solver (recorded at
         :meth:`initialize`) and no gating: gating's skip test for an
         activation needs the state change of the one before, which a
-        window only knows after it has stepped.  A window the solver
-        cannot plan runs per activation.
+        window only knows after it has stepped.
         """
-        if not all(port.block_readable() for port, _holder in self._inputs):
+        if not all([port.block_readable() for port, _holder in self._inputs]):
             self._scalar_fallback(n)
             return
         times = self.activation_times(n)
         columns = [port.read_block(n) for port, _holder in self._inputs]
-        states = None
         if self._window is not None and not self.gating_enabled:
             states = self._advance(self._step_window, times, columns)
-        if states is None:
+        else:
             states = self._advance(self._step_each, times,
                                    _rows(columns, n))
         outs = np.empty((len(self._outputs), n))
@@ -249,7 +256,7 @@ class CtTdfModule(TdfModule):
 
     # -- the two strategies ---------------------------------------------------
 
-    def _advance(self, strategy, times, inputs) -> Optional[np.ndarray]:
+    def _advance(self, strategy, times, inputs) -> np.ndarray:
         """One strategy call: one activation's or one window's states.
 
         The one timing site: ``moc.<moc>.seconds``, plus one
@@ -308,34 +315,57 @@ class CtTdfModule(TdfModule):
             self._last_inputs = samples
         return states
 
-    def _step_window(self, times, columns) -> Optional[np.ndarray]:
+    def _step_window(self, times, columns) -> np.ndarray:
         """Window strategy: ``columns[i]`` holds input ``i``'s samples.
 
-        The solver plans the internal steps ``advance_to`` would take
-        (:meth:`~repro.ct.solver_api.LinearTransientSolver.plan`); every
-        source row is evaluated at each step's end and, where the method
-        reads it, start — the holders replayed on arrays, bit for bit,
-        through a plan the cluster period's CT modules share — and one
-        ``advance_window`` call runs the steps.  Holders and the gating
-        memory end as the last activation's ``advance_to`` would leave
-        them (checkpoint parity).  The first activation's
-        consistent initialization runs per activation.  None when the
-        solver cannot plan the window (nothing has changed then).
+        Where the solver holds an operator for the activations
+        (:meth:`~repro.ct.LinearTransientSolver.held_window`), one
+        ``advance_window`` call applies it once per activation;
+        otherwise one ``advance_window`` call runs the internal steps
+        the solver plans (:meth:`_step_planned`).  Holders and the
+        gating memory end as the last activation's ``advance_to`` would
+        leave them (checkpoint parity).  The first activation's
+        consistent initialization, and a window the solver cannot plan,
+        run per activation.
         """
         solver = self._solver
-        first = self._activation_index == 0
-        if first and len(times) == 1:
-            return self._step_each(times, _rows(columns, 1))
-        plan = solver.plan(times[1:] if first else times)
-        if plan is None:
-            return None
         head = None
-        if first:
+        if self._activation_index == 0:
             # The consistent initialization runs per activation; its
-            # snap leaves the time the plan starts from alone.
+            # snap leaves the solver time alone.
             head = self._step_each(times[:1], _rows(
                 [column[:1] for column in columns], 1))
+            if len(times) == 1:
+                return head
+            times = times[1:]
             columns = [column[1:] for column in columns]
+        before = solver.state
+        window = solver.held_window(times, columns)
+        if window is not None:
+            t_prev = solver.time if len(times) == 1 else float(times[-2])
+            states = solver.advance_window(window)
+            for (_port, holder), column in zip(self._inputs, columns):
+                holder.push_all(column, t_prev, float(times[-1]))
+        else:
+            plan = solver.plan(times)
+            if plan is None:
+                states = self._step_each(times, _rows(columns, len(times)))
+                return states if head is None \
+                    else np.concatenate([head, states])
+            states = self._step_planned(plan, columns)
+        self._last_inputs = tuple([float(column[-1]) for column in columns])
+        self._last_delta = (states[-1],
+                            states[-2] if len(states) >= 2 else before)
+        return states if head is None else np.concatenate([head, states])
+
+    def _step_planned(self, plan, columns) -> np.ndarray:
+        """The per-step window of :meth:`_step_window` through ``plan``
+        (:meth:`~repro.ct.LinearTransientSolver.plan`): every source row
+        evaluated at each step's end and, where the method reads it,
+        start, the holders replayed on arrays (sparse sections and
+        time-waveform sources).  Returns each activation's state.
+        """
+        solver = self._solver
         held = [holder.replay(column, plan)
                 for (_port, holder), column in zip(self._inputs, columns)]
         steps = len(plan.h_values)
@@ -356,15 +386,9 @@ class CtTdfModule(TdfModule):
             if b_now is not None:
                 b_now[:, row] += at_start if scale == 1.0 \
                     else scale * at_start
-        before = solver.state
         states = solver.advance_window(plan.targets, plan.h_values,
                                        b_next, b_now)
-        if plan.last is not None:
-            states = states[plan.last]
-        self._last_inputs = tuple(float(column[-1]) for column in columns)
-        self._last_delta = (states[-1],
-                            states[-2] if len(states) >= 2 else before)
-        return states if head is None else np.concatenate([head, states])
+        return states if plan.last is None else states[plan.last]
 
     # -- internals -----------------------------------------------------------------
 

@@ -5,7 +5,10 @@ A continuous-time solver integrates over ``[t_{a-1}, t_a]`` while the TDF
 side supplies samples at the endpoints.  An :class:`InputHolder` exposes
 the sample pair as a callable waveform — zero-order hold or linear
 interpolation (first-order hold) — that the solver's source functions
-read during the step.
+read during the step.  The built-in linear solver folds a holder's
+interpolation into one operator per activation
+(:meth:`~repro.ct.LinearTransientSolver.hold_inputs`), reading the
+holder through ``value`` and :meth:`InputHolder.state`.
 """
 
 from __future__ import annotations
@@ -37,8 +40,18 @@ class InputHolder:
         self._t0 = t_prev
         self._t1 = t_now
 
+    def push_all(self, values, t_prev: float, t_now: float) -> None:
+        """Leave the holder as pushing each of ``values`` in turn would,
+        the last one over ``(t_prev, t_now)``."""
+        self._previous = float(values[-2]) if len(values) >= 2 \
+            else self.value
+        self.value = float(values[-1])
+        self._t0 = t_prev
+        self._t1 = t_now
+
     def state(self) -> tuple:
-        """``(value, previous, t_prev, t_now)``, for checkpoints."""
+        """``(value, previous, t_prev, t_now)``, for checkpoints and
+        the solver's activation operator."""
         return (self.value, self._previous, self._t0, self._t1)
 
     def load_state(self, state) -> None:
@@ -63,15 +76,13 @@ class InputHolder:
         (else None), bit-identical to the scalar calls.  The plan's
         weights carry the times, so only the values are computed here.
         Leaves the holder as the last activation's :meth:`push` would.
+        Only per-step windows replay holders: sparse sections and
+        sections with time-waveform sources.
         """
-        count = len(values)
-        previous = np.empty(count)
+        previous = np.empty(len(values))
         previous[0] = self.value
         previous[1:] = values[:-1]
-        if count >= 2:
-            self.value = float(values[-2])
-        self.push(float(values[-1]), float(plan.t_prev[-1]),
-                  float(plan.times[-1]))
+        self.push_all(values, float(plan.t_prev[-1]), float(plan.times[-1]))
         owner = plan.owner
         if owner is not None:
             previous, values = previous[owner], values[owner]
@@ -86,7 +97,8 @@ class InputHolder:
 
 
 def held_values(weights, previous, value):
-    """Vectorized :meth:`InputHolder.__call__` of interpolating holders.
+    """Vectorized :meth:`InputHolder.__call__` of interpolating holders
+    (per-step windows, see :meth:`InputHolder.replay`).
 
     Elementwise over the sample pairs ``previous`` (held at ``t0``) /
     ``value`` (at ``t1``, with ``t1 > t0``) and the instants'

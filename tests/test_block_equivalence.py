@@ -24,6 +24,7 @@ from repro.adsl.system import DspToneGenerator, _RegisterToTdf
 from repro.core import Module, Signal, SimTime, Simulator
 from repro.core.process import METHOD, Process
 from repro.ct import LinearTransientSolver
+from repro.ct.linear import LinearStepper
 from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 from repro.lib import (
     Add2,
@@ -333,12 +334,17 @@ def test_adsl_system_bit_identical():
             == pickle.dumps(_normalize(getattr(got, ct).checkpoint_state()))
 
 
-def test_adsl_block_run_plans_once_per_period(monkeypatch):
-    """The three CT sections share one window plan per cluster period,
-    which none of them writes to, and the CIC decimator's single rate-32
-    activation per period runs as a block."""
+def test_adsl_block_run_builds_one_operator_per_section(monkeypatch):
+    """The three CT sections step every window through their activation
+    operator: the block run makes no window plan, builds one operator
+    per section and step size, which nothing writes to, and the CIC
+    decimator's single rate-32 activation per period runs as a block."""
     plans = []
     plan = LinearTransientSolver.plan
+
+    def counted_plan(self, times):
+        plans.append(len(times))
+        return plan(self, times)
 
     def freeze(value):
         if isinstance(value, np.ndarray):
@@ -347,10 +353,13 @@ def test_adsl_block_run_plans_once_per_period(monkeypatch):
             for item in value:
                 freeze(item)
 
-    def frozen_plan(self, times):
-        made = plan(self, times)
+    operators = []
+    lift = LinearStepper._lift
+
+    def frozen_lift(self, substeps, at_start, slope):
+        made = lift(self, substeps, at_start, slope)
         freeze(made)
-        plans.append(made)
+        operators.append((id(self), self.h, substeps))
         return made
 
     cic_blocks = []
@@ -360,7 +369,8 @@ def test_adsl_block_run_plans_once_per_period(monkeypatch):
         cic_blocks.append(n)
         cic_block(self, n)
 
-    monkeypatch.setattr(LinearTransientSolver, "plan", frozen_plan)
+    monkeypatch.setattr(LinearTransientSolver, "plan", counted_plan)
+    monkeypatch.setattr(LinearStepper, "_lift", frozen_lift)
     monkeypatch.setattr(CicDecimator, "processing_block", counted_block)
     top = AdslSystem()
     sim = Simulator(top, tdf_block=True)
@@ -368,8 +378,10 @@ def test_adsl_block_run_plans_once_per_period(monkeypatch):
     [cluster] = sim.tdf_registry.clusters
     periods = cluster.period_count
     assert periods == 11
-    assert len(plans) == 3 * periods
-    assert len({id(made) for made in plans}) == periods
+    assert plans == []
+    assert len(operators) == len(set(operators)) == 3
+    assert len({stepper for stepper, _h, _k in operators}) == 3
+    assert {substeps for _id, _h, substeps in operators} == {2}
     assert cic_blocks == [1] * periods
 
 
