@@ -281,7 +281,7 @@ def _rtl_digest():
 
 #: SHA-256 digests of the ADSL DE-visible pin (1 ms per seed).
 DE_PIN = {
-    1: "2a356d29b1a016da502ae0695db1d796acc3aa9a457fac5ae4198de1a1019c4f",
+    1: "f5ba8624e1ddb37e7adf7d7ceb8648a1b65c36ebba16288d2fefcfcfbbb34c8b",
     2: "51a5666b8aa55e28ccdb6998767e5ec2f1e54d4d547358ec8ebb500bdf310506",
 }
 
