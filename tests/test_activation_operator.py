@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import FEMTO, Clock, Module, SimTime, Simulator
 from repro.ct import LinearDae, LinearTransientSolver
-from repro.ct.linear import LinearStepper, make_stepper
+from repro.ct.linear import _CachedStepper, make_stepper
 from repro.eln import Capacitor, Network, Resistor, Switch, Vsource
 from repro.lib import SineSource, TdfSink
 from repro.lsf import LsfAdd, LsfLtfNd, LsfNetwork, LsfSource
@@ -146,8 +146,7 @@ def test_operator_matches_the_substep_loop(monkeypatch, kind, n, method,
     def no_substep(self, x, t):
         raise AssertionError(f"per-substep step at {t}")
 
-    monkeypatch.setattr(LinearStepper, "step", no_substep)
-    monkeypatch.setattr(type(stepper), "step", no_substep)
+    monkeypatch.setattr(_CachedStepper, "step", no_substep)
     scalar = solver()
     each = np.empty((ACTIVATIONS, n))
     for a in range(1, ACTIVATIONS + 1):
@@ -233,7 +232,7 @@ def test_switch_toggle_drops_the_operator(monkeypatch):
     def no_substep(self, x, t):
         raise AssertionError(f"per-substep step at {t}")
 
-    monkeypatch.setattr(LinearStepper, "step", no_substep)
+    monkeypatch.setattr(_CachedStepper, "step", no_substep)
     got = run()
     samples = np.asarray(got.sink.samples)
     expected = np.asarray(reference.sink.samples)
