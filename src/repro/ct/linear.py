@@ -29,11 +29,11 @@ Three interchangeable stepper variants share that contract:
 Propagators and factorizations are cached per timestep value (an LRU
 keyed on ``h``) and invalidated only by :meth:`~LinearStepper.invalidate`
 / :meth:`~LinearStepper.rebind` on topology or switch events — never per
-step.  Beside them, a dense or expm stepper keeps one operator per
-(``h``, substep count) for sources affine in an activation's input
-vector (:meth:`~LinearStepper.step_held`): the k steps of one
-synchronization interval folded into one map, applied like a one-step
-propagator.
+step.  Beside them, every stepper keeps one operator per (``h``,
+substep count) for sources affine in an activation's input vector
+(:meth:`~LinearStepper.step_held`): dense and expm fold the k steps of
+one synchronization interval into one map, applied like a one-step
+propagator; sparse keeps each step's source matrix and solves per step.
 """
 
 from __future__ import annotations
@@ -283,10 +283,11 @@ def _require_invertible(A: np.ndarray, singular: str,
         raise SolverError(singular)
 
 
-def _forcing(b: np.ndarray, fac: _Propagator) -> np.ndarray:
+def _forcing(b: np.ndarray, fac: _Propagator | _HeldLU) -> np.ndarray:
     """Per-step forcing terms ``w[k]`` of the stacked source vectors
-    ``b`` for the float steps (:func:`_float_steps`), each bit-identical
-    whatever the number of steps.
+    ``b`` for the float steps (:func:`_float_steps`) and the sparse
+    held steps (:func:`_held_lu_steps`, where ``b`` holds input
+    vectors), each bit-identical whatever the number of steps.
 
     A row-layout source sums ``gain * b[:, col]`` over its few ``(col,
     gain)`` terms elementwise for the whole run; any other source takes
@@ -425,6 +426,47 @@ class _SuperLU(NamedTuple):
     solve: Callable[[np.ndarray], np.ndarray]
 
 
+def _lu_steps(fac, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The states of ``len(b)`` steps ``A x' = M @ x + b[k]`` from
+    ``x`` through the SuperLU factors ``fac``, one solve per step."""
+    M, solve = fac.M, fac.solve
+    states = np.empty_like(b)
+    for k in range(len(b)):
+        rhs = M @ x
+        rhs += b[k]
+        x = states[k] = solve(rhs)
+    return states
+
+
+class _HeldLU(NamedTuple):
+    """A sparse stepper's operator for one (``h``, ``substeps``): the
+    SuperLU factors, and an activation's source vectors in its input
+    vector ``u``.  Step ``j``'s stacked source vector is ``S_j @ u`` on
+    the stamped columns ``cols`` and zero elsewhere; ``gain`` stacks
+    the ``S_j`` step by step, one row per (step, column), and ``terms``
+    pairs each input with its ``gain`` column for :func:`_forcing`."""
+
+    M: Any
+    solve: Callable[[np.ndarray], np.ndarray]
+    cols: np.ndarray
+    substeps: int
+    gain: np.ndarray
+    terms: tuple
+
+
+def _held_lu_steps(held: _HeldLU, x: np.ndarray,
+                   inputs: np.ndarray) -> np.ndarray:
+    """Each activation's end state after ``held.substeps`` solves from
+    ``x``, activation ``a`` reading the input vector ``inputs[a]``.
+    Its forcing terms are formed elementwise (:func:`_forcing`), so an
+    activation's arithmetic is the same whatever the window's length."""
+    substeps, cols = held.substeps, held.cols
+    steps = inputs.shape[0] * substeps  # sizes read without a call
+    b = np.zeros((steps, x.size))
+    b[:, cols] = _forcing(inputs, held).reshape(steps, cols.size)
+    return _lu_steps(held, x, b)[substeps - 1::substeps]
+
+
 class _CachedStepper:
     """Shared ``h``-keyed LRU cache of stepping products with reuse
     counters, and the stepping loops of every variant.
@@ -436,8 +478,8 @@ class _CachedStepper:
     every reuse of a cached one, and ``refactorizations`` the builds
     forced by :meth:`invalidate` (topology/switch events) rather than
     by a new timestep value.  The activation operators of
-    :meth:`step_held` are kept beside the propagators and dropped with
-    them; building one is not a factorization.
+    :meth:`step_held` are kept beside the cached products and dropped
+    with them; building one is not a factorization.
     """
 
     def _init_cache(self) -> None:
@@ -497,8 +539,8 @@ class _CachedStepper:
         current ``h`` (``times[k]`` is the start of step ``k``).
 
         Evaluates every source vector up front and runs the steps
-        through ``step_window``, bit-identical to a loop of ``step``
-        calls.  Returns the states after each step, shape
+        through :meth:`step_window`, bit-identical to a loop of
+        ``step`` calls.  Returns the states after each step, shape
         ``(len(times), n)``.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -506,106 +548,98 @@ class _CachedStepper:
         b_next = self.system.eval_source_block(times + h)
         b_now = None if self.method == "backward_euler" \
             else self.system.eval_source_block(times)
-        return self.step_window(x, np.full(len(times), h), b_next,
-                                b_now, times)
+        return self.step_window(x, h, b_next, b_now, times)
 
-    def step_window(self, x: np.ndarray, h_values: np.ndarray,
-                    b_next: np.ndarray,
+    def step_window(self, x: np.ndarray, h: float, b_next: np.ndarray,
                     b_now: Optional[np.ndarray] = None,
                     times: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance through a window of pre-evaluated source vectors.
+        """Advance through a window of steps of size ``h`` from
+        pre-evaluated source vectors.
 
-        ``h_values[k]`` is the step size of step ``k``; ``b_next[k]`` /
-        ``b_now[k]`` are the source vectors at the step's end / start
-        (``b_now`` is unused for backward Euler) and ``times[k]`` is
-        the instant a non-finite state is reported at.  Each run of
-        equal step sizes takes one :meth:`_advance` with that size's
-        cached products, and a step's arithmetic does not depend on
-        the run around it: any split of a window, and a loop of
-        :meth:`step` calls, give the same bits.  Returns the states
-        after each step, shape ``(len(h_values), n)``.
+        ``b_next[k]`` / ``b_now[k]`` are the source vectors at step
+        ``k``'s end / start (``b_now`` is unused for backward Euler) and
+        ``times[k]`` is the instant a non-finite state is reported at.
+        A step's arithmetic does not depend on the run around it: any
+        split of a window, and a loop of :meth:`step` calls, give the
+        same bits.  Returns the states after each step, shape
+        ``(len(b_next), n)``.
         """
-        h_values = np.asarray(h_values, dtype=float)
-        if not len(h_values):
-            return np.empty((0, self.system.n))
-        h = h_values[0]
-        if not (h_values != h).any():
-            self.set_timestep(float(h))
-            return self._advance(x, b_next, b_now, times)
-        cuts = (np.flatnonzero(h_values[1:] != h_values[:-1]) + 1).tolist()
-        parts = []
-        for a, b in zip([0, *cuts], [*cuts, len(h_values)]):
-            self.set_timestep(float(h_values[a]))
-            parts.append(self._advance(
-                x, b_next[a:b], None if b_now is None else b_now[a:b],
-                None if times is None else times[a:b]))
-            x = parts[-1][-1]
-        return np.concatenate(parts)
+        self.set_timestep(float(h))
+        return self._advance(x, b_next, b_now, times)
 
     def step_held(self, x: np.ndarray, substeps: int, inputs: np.ndarray,
                   times, drive: Callable[[], tuple]) -> np.ndarray:
         """Advance ``len(inputs)`` activations of ``substeps`` steps of
-        the current ``h`` each, one operator application per activation.
+        the current ``h`` each, taking each activation's sources from
+        its input vector.
 
         The sources are affine in each activation's input vector: at
         fraction ``f`` of activation ``a`` they are ``(at_start + f *
-        slope) @ inputs[a]``, with ``(at_start, slope) = drive()``.  The
-        ``substeps`` steps of an activation are then one map ``x' = P x
-        + Q inputs[a]``, built on first use per (``h``, ``substeps``)
-        and applied by :func:`_propagate` like a one-step propagator
-        whose source vector is ``inputs[a]``.  ``x`` is a float array
-        (a solver's state); ``times[a]`` is the instant a non-finite
-        state is reported at.  Returns each activation's end state;
-        dense and expm steppers only.
+        slope) @ inputs[a]``, with ``(at_start, slope) = drive()``.  An
+        operator built on first use per (``h``, ``substeps``)
+        (:meth:`_lift`) then steps an activation: dense and expm
+        steppers apply one map ``x' = P x + Q inputs[a]`` through
+        :func:`_propagate`, like a one-step propagator whose source
+        vector is ``inputs[a]``; a sparse stepper solves each step with
+        its source vector ``S_j @ inputs[a]`` (:func:`_held_lu_steps`).
+        ``x`` is a float array (a solver's state); ``times[a]`` is the
+        instant a non-finite state is reported at.  Returns each
+        activation's end state.
         """
         key = self.h, substeps
         operators = self._operators
-        operator = operators.get(key)
-        if operator is None:
-            operator = operators[key] = self._lift(substeps, *drive())
+        if key not in operators:
+            operators[key] = self._lift(substeps, *drive())
             if len(operators) > FACTOR_CACHE_SIZE:
                 del operators[next(iter(operators))]
-        states = _propagate(operator, x, inputs)
+        kernel, operator = operators[key]
+        states = kernel(operator, x, inputs)
         if not math.isfinite(np.add.reduce(states, axis=None)):
             _check_finite(states, times)
         return states
 
     def _lift(self, substeps: int, at_start: np.ndarray,
-              slope: np.ndarray) -> _Propagator:
-        """The operator of :meth:`step_held`: the basis ``[x | inputs]``
-        propagated through ``substeps`` steps of the stacked-source rule
-        (:meth:`_stacked`), the sources at each step's start and end
-        read at fractions ``j / substeps`` of the activation."""
-        fac = self._fac
-        n, width = len(fac.phi), at_start.shape[1]
-        lifted = np.hstack((np.eye(n), np.zeros((n, width))))
+              slope: np.ndarray) -> tuple:
+        """``(kernel, operator)`` of :meth:`step_held`.  Step ``j`` of
+        an activation reads its sources at fractions ``j / substeps``
+        and ``(j + 1) / substeps``; the stacked-source rule
+        (:meth:`_stacked`) makes its stacked source vector ``S_j @ u``,
+        kept on the stamped columns as the propagators keep ``gain``.
+        Propagators fold the ``S_j`` into one map, the basis ``[x |
+        u]`` propagated through the ``substeps`` steps; a sparse
+        stepper keeps them beside its SuperLU factors
+        (:class:`_HeldLU`)."""
+        fac, cols = self._fac, self._cols
+        sources = []
         for j in range(substeps):
             start = at_start + (j / substeps) * slope
             end = at_start + ((j + 1) / substeps) * slope
             stacked = self._stacked(end.T, start.T)  # a row per input
-            if fac.cols is not None:
-                stacked = stacked[:, fac.cols]
+            sources.append(stacked if cols is None else stacked[:, cols])
+        if isinstance(fac, _SuperLU):
+            gain = np.hstack(sources).T  # a row per (step, column)
+            return _held_lu_steps, _HeldLU(
+                fac.M, fac.solve, np.array(cols, dtype=np.intp), substeps,
+                gain, tuple(enumerate(np.ascontiguousarray(gain.T))))
+        n, width = len(fac.phi), at_start.shape[1]
+        lifted = np.hstack((np.eye(n), np.zeros((n, width))))
+        for stacked in sources:
             lifted = fac.phi @ lifted
             lifted[:, n:] += fac.gain @ stacked.T
-        return _propagator(lifted[:, :n], lifted[:, n:], None,
-                           terms=range(width))
+        return _propagate, _propagator(lifted[:, :n], lifted[:, n:], None,
+                                       terms=range(width))
 
     def _advance(self, x, b_next, b_now, times) -> np.ndarray:
         """Run ``len(b_next)`` steps of the current ``h`` from ``x``:
         propagators (dense, expm) through :func:`_propagate`, SuperLU
-        (sparse) with one solve per step.  A step's arithmetic is the
+        (sparse) through :func:`_lu_steps`.  A step's arithmetic is the
         same whatever the run's length.
         """
         fac = self._fac
         x = np.ascontiguousarray(x, dtype=float)
         b = self._stacked(b_next, b_now)
         if isinstance(fac, _SuperLU):
-            M, solve = fac.M, fac.solve
-            states = np.empty_like(b)
-            for k in range(len(b)):
-                rhs = M @ x
-                rhs += b[k]
-                x = states[k] = solve(rhs)
+            states = _lu_steps(fac, x, b)
         else:
             states = _propagate(fac, x, b)
         # one reduction; a non-finite sum may also be an overflow

@@ -32,7 +32,6 @@ from .linear import (
     backward_euler_step,
     check_step_size,
     make_stepper,
-    stepper_variant,
 )
 from .nonlinear import (
     NonlinearStepper,
@@ -110,7 +109,7 @@ def check_target_time(t: float) -> float:
     return t
 
 
-def substep_counts(t_prev, t, h_internal: float):
+def substep_counts(t_prev: float, t: float, h_internal: float) -> int:
     """Internal steps a fixed-step solver takes from ``t_prev`` to ``t``:
     the fewest equal steps no longer than ``h_internal``.
 
@@ -121,21 +120,14 @@ def substep_counts(t_prev, t, h_internal: float):
     of ``h_internal`` would take one step too many.  The slack therefore
     adds at least four ULPs of the larger absolute time on top of the
     1e-12.
-
-    Elementwise, so it takes floats or arrays alike:
-    :meth:`LinearTransientSolver.plan` expands a window of
-    synchronization intervals with exactly the counts
-    :meth:`LinearTransientSolver.advance_to` uses one interval at a
-    time.
     """
     interval = t - t_prev
     # eps * |x| bounds the ULP of x from above
     slack = 1e-12 + 4.0 * _EPS * (abs(t) + abs(t_prev)) / h_internal
-    return np.maximum(np.ceil(interval / h_internal - slack),
-                      1.0).astype(np.int64)
+    return max(math.ceil(interval / h_internal - slack), 1)
 
 
-def tick_interval(t_prev, t):
+def tick_interval(t_prev: float, t: float) -> float:
     """The interval from ``t_prev`` to ``t``, exact on the tick grid.
 
     Activation instants are integer ticks scaled to seconds, so
@@ -144,104 +136,15 @@ def tick_interval(t_prev, t):
     interval within four ULPs of the absolute times (the
     :func:`substep_counts` bound) of a whole number of ticks is
     returned as exactly ``ticks * FEMTO``; any other interval, such as
-    a standalone 1/3 us, unchanged.  Takes floats or arrays, with the
-    same operations elementwise, so :meth:`LinearTransientSolver.plan`
-    and :meth:`LinearTransientSolver.advance_to` agree bit for bit.
+    a standalone 1/3 us, unchanged.
     """
     interval = t - t_prev
     bound = 4.0 * _EPS * (abs(t) + abs(t_prev))
-    if isinstance(interval, float):
-        ticks = round(interval / FEMTO)
-        snapped = ticks * FEMTO
-        if ticks >= 1 and abs(interval - snapped) <= bound:
-            return snapped
-        return interval
-    ticks = np.rint(interval / FEMTO)
+    ticks = round(interval / FEMTO)
     snapped = ticks * FEMTO
-    return np.where((ticks >= 1) & (abs(interval - snapped) <= bound),
-                    snapped, interval)
-
-
-class HoldWeights(NamedTuple):
-    """Where each step's instants ``t`` fall in its activation's
-    interval from ``t0`` to ``t1``: ``fraction`` is ``(t - t0) / (t1 -
-    t0)``, ``after`` is ``t >= t1`` and ``before`` is ``t <= t0``,
-    elementwise.  An interpolating :class:`~repro.sync.InputHolder`
-    reads nothing else of the times (:meth:`~repro.sync.InputHolder.
-    replay`).  Only per-step windows use them (sparse sections and
-    time-waveform sources); a :class:`HeldWindow` folds the holders
-    into its operator."""
-
-    fraction: np.ndarray
-    after: np.ndarray
-    before: np.ndarray
-
-
-def _hold_weights(t, t0, t1, span) -> HoldWeights:
-    return HoldWeights((t - t0) / span, t >= t1, t <= t0)
-
-
-class WindowPlan(NamedTuple):
-    """The internal steps :meth:`LinearTransientSolver.advance_to` takes
-    through the activations at ``times``, for one
-    :meth:`~LinearTransientSolver.advance_window` call: each activation's
-    interval starts at ``t_prev``; step ``k`` belongs to activation
-    ``owner[k]`` and ``last[a]`` is activation ``a``'s last step (both
-    None with one step each); a step reads its sources at ``ends``
-    (start + h) and ``starts`` (None when the method reads none).
-    ``at_end`` and ``at_start`` weigh those instants for the holders;
-    ``at_start`` is None when ``starts`` is, or when every step starts
-    at its activation's ``t_prev``.
-
-    Sections the one-activation operator steps (:class:`HeldWindow`)
-    need no plan; sparse sections and time-waveform sources do."""
-
-    t_prev: np.ndarray
-    times: np.ndarray
-    owner: Optional[np.ndarray]
-    last: Optional[np.ndarray]
-    h_values: np.ndarray
-    targets: np.ndarray
-    ends: np.ndarray
-    starts: Optional[np.ndarray]
-    at_end: HoldWeights
-    at_start: Optional[HoldWeights]
-
-
-def _window_plan(t, times, h_internal, reads_start) -> Optional[WindowPlan]:
-    """:meth:`LinearTransientSolver.plan` from solver time ``t``."""
-    count = len(times)
-    t_prev = np.empty(count)
-    t_prev[0] = t
-    t_prev[1:] = times[:-1]
-    if not np.all(times > t_prev):
-        return None
-    intervals = tick_interval(t_prev, times)
-    if h_internal is None:
-        # One step per activation: no expansion.  Every step reads its
-        # end sources at start + h, which may differ from the target
-        # time by one ULP (replicated literally).
-        ends = t_prev + intervals
-        return WindowPlan(t_prev, times, None, None, intervals, times,
-                          ends, t_prev if reads_start else None,
-                          _hold_weights(ends, t_prev, times,
-                                        times - t_prev), None)
-    substeps = substep_counts(t_prev, times, h_internal)
-    last = np.cumsum(substeps) - 1
-    owner = np.repeat(np.arange(count), substeps)
-    k = np.arange(len(owner)) - (last + 1 - substeps)[owner]
-    h_values = (intervals / substeps)[owner]
-    t0, t1 = t_prev[owner], times[owner]
-    starts = t0 + k * h_values
-    ends = starts + h_values
-    targets = ends.copy()
-    targets[last] = times
-    span = t1 - t0
-    return WindowPlan(t_prev, times, owner, last, h_values, targets, ends,
-                      starts if reads_start else None,
-                      _hold_weights(ends, t0, t1, span),
-                      _hold_weights(starts, t0, t1, span)
-                      if reads_start else None)
+    if ticks >= 1 and abs(interval - snapped) <= bound:
+        return snapped
+    return interval
 
 
 class _HeldInputs(NamedTuple):
@@ -259,11 +162,11 @@ class _HeldInputs(NamedTuple):
 
 
 class HeldWindow:
-    """A window of activations stepped by one operator application
-    each (:meth:`LinearTransientSolver.held_window`): the activations
-    end at ``times``, each takes ``substeps`` internal steps of size
-    ``h``, and ``inputs[a]`` is activation ``a``'s input vector.  Its
-    length is its count of internal steps, as a per-step window's is.
+    """A window of activations, each stepped from its input vector
+    (:meth:`LinearTransientSolver.held_window`): the activations end at
+    ``times``, each takes ``substeps`` internal steps of size ``h``, and
+    ``inputs[a]`` is activation ``a``'s input vector.  Its length is
+    its count of internal steps.
     """
 
     __slots__ = ("times", "h", "substeps", "inputs")
@@ -286,8 +189,8 @@ class LinearTransientSolver(TransientSolver):
     :func:`tick_interval`) into an integer number of internal steps no
     larger than ``h_internal`` (defaulting to the sync interval itself;
     see :func:`substep_counts`).  With input holders bound
-    (:meth:`hold_inputs`), an activation takes those steps as one
-    operator application.
+    (:meth:`hold_inputs`), an activation takes those steps through one
+    cached operator, its sources read from its input vector.
     """
 
     def __init__(self, system: LinearDae,
@@ -304,8 +207,7 @@ class LinearTransientSolver(TransientSolver):
         self._t = 0.0
         self._x = np.zeros(system.n)
         self.step_count = 0
-        #: the bound holders once :meth:`hold_inputs` finds an operator
-        #: for every activation, else None
+        #: the holders :meth:`hold_inputs` bound, else None
         self._held: Optional[_HeldInputs] = None
 
     def rebind(self, system: LinearDae) -> None:
@@ -336,26 +238,26 @@ class LinearTransientSolver(TransientSolver):
                                       self._t - h_tiny, h_tiny)
         return self._x
 
-    def hold_inputs(self, holders: Sequence) -> None:
+    def hold_inputs(self, holders: Sequence) -> bool:
         """Bind the input holders some source rows read, by input slot:
         :class:`~repro.sync.InputHolder` objects, read through their
         ``interpolate`` flag, ``value`` and ``state()``, ``(value,
-        previous, t_prev, t_now)``.
+        previous, t_prev, t_now)``.  True when they are bound.
 
-        When every source row reads one of ``holders`` or a constant,
-        and the stepper is dense or expm, an activation whose holders
-        were all last pushed over exactly (solver time, target) takes
-        its internal steps as one operator application
-        (:meth:`~repro.ct.linear.LinearStepper.step_held`).  Its input
-        vector holds each interpolating holder's previous sample, every
-        holder's current one, and 1 when a row is constant.  Otherwise
-        activations step as before.
+        They are bound when every source row reads one of ``holders``
+        or a constant.  An activation whose holders were all last
+        pushed over exactly (solver time, target) then takes its
+        internal steps through one cached operator, whatever the
+        stepper (:meth:`~repro.ct.linear.LinearStepper.step_held`), and
+        a block of them is one :meth:`held_window`.  Its input vector
+        holds each interpolating holder's previous sample, every
+        holder's current one, and 1 when a row is constant.  Other
+        activations step their sources per internal step.
         """
         self._held = None
         rows = getattr(self.system.source, "rows", None)
-        if rows is None \
-                or stepper_variant(self.system, self.variant) == "sparse":
-            return
+        if rows is None:
+            return False
         holders = tuple(holders)
         bound = {id(holder) for holder in holders}
         constant = False
@@ -363,12 +265,13 @@ class LinearTransientSolver(TransientSolver):
             if id(waveform) in bound:
                 continue
             if callable(waveform):
-                return
+                return False
             constant = True
         interpolating = tuple(bool(holder.interpolate) for holder in holders)
         previous = sum(interpolating)
         self._held = _HeldInputs(holders, interpolating, constant, previous,
                                  previous + len(holders) + constant)
+        return True
 
     def _drive(self) -> tuple:
         """``(at_start, slope)`` of the bound holders' input vector in
@@ -398,7 +301,7 @@ class LinearTransientSolver(TransientSolver):
     def _substeps(self, t_prev, t) -> int:
         if self.h_internal is None:
             return 1
-        return int(substep_counts(t_prev, t, self.h_internal))
+        return substep_counts(t_prev, t, self.h_internal)
 
     def _set_step(self, h: float) -> None:
         if self._stepper is None:
@@ -417,8 +320,8 @@ class LinearTransientSolver(TransientSolver):
             if t_prev != self._t or t_now != t:
                 return None
             if interpolate:
-                previous.append(before)
-            current.append(value)
+                previous += before,  # no call, unlike append
+            current += value,
         return previous + current + [1.0] * held.constant
 
     def advance_to(self, t: float) -> np.ndarray:
@@ -448,15 +351,6 @@ class LinearTransientSolver(TransientSolver):
         self._x = x
         return x
 
-    def plan(self, times: np.ndarray) -> Optional[WindowPlan]:
-        """The steps :meth:`advance_to` would take from the current time
-        through each of ``times`` in turn: per interval the same
-        :func:`substep_counts` and :func:`tick_interval`.  None when
-        ``times`` do not rise strictly from the current time."""
-        # backward Euler reads no start sources
-        reads_start = self.variant == "expm" or self.method == "trapezoidal"
-        return _window_plan(self._t, times, self.h_internal, reads_start)
-
     def held_window(self, times: np.ndarray,
                     columns: Sequence[np.ndarray]) -> Optional[HeldWindow]:
         """The activations at ``times`` as a :class:`HeldWindow`, the
@@ -464,7 +358,7 @@ class LinearTransientSolver(TransientSolver):
         one per activation; :meth:`advance_window` then steps each as
         :meth:`advance_to` would after its push.
 
-        None without an operator (:meth:`hold_inputs`), or when the
+        None without bound holders (:meth:`hold_inputs`), or when the
         first activation does not follow the solver time.  ``times``
         are a TDF module's activation instants, evenly spaced ticks, so
         each later interval is the first one's, in ticks and substeps
@@ -489,41 +383,18 @@ class LinearTransientSolver(TransientSolver):
         return HeldWindow(times, tick_interval(self._t, times[0]) / substeps,
                           substeps, inputs)
 
-    def advance_window(self, times, h_values: Optional[np.ndarray] = None,
-                       b_next: Optional[np.ndarray] = None,
-                       b_now: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance through a window of internal steps (the TDF block
-        fast path).
-
-        ``times`` is a :class:`HeldWindow` (:meth:`held_window`): one
-        operator application per activation, bit-identical to
-        :meth:`advance_to` after each activation's push.  Returns each
-        activation's state, shape ``(len(times.times), n)``.
-
-        Otherwise ``times[k]`` is the target time of step ``k`` and
-        ``h_values[k]`` its step size; ``b_next[k]`` / ``b_now[k]`` are
-        the source vectors at the step's end / start.  A caller
-        replaying ``advance_to`` expands each synchronization interval
-        into the :func:`substep_counts` steps it takes, each the
-        :func:`tick_interval` divided by the count, and the result is
-        then bit-identical to those ``advance_to`` calls
-        (:meth:`plan`).  Returns the per-step states, shape
-        ``(len(times), n)``.
+    def advance_window(self, window: HeldWindow) -> np.ndarray:
+        """Advance through a :class:`HeldWindow` (:meth:`held_window`),
+        the TDF block fast path: each activation stepped from its input
+        vector, bit-identical to :meth:`advance_to` after each
+        activation's push.  Returns each activation's state, shape
+        ``(len(window.times), n)``.
         """
-        if isinstance(times, HeldWindow):
-            window, times = times, times.times
-            self._set_step(window.h)
-            states = self._stepper.step_held(self._x, window.substeps,
-                                             window.inputs, times,
-                                             self._drive)
-            steps = len(times) * window.substeps
-        else:
-            if self._stepper is None:
-                self._set_step(float(h_values[0]))
-            states = self._stepper.step_window(self._x, h_values,
-                                               b_next, b_now, times)
-            steps = len(times)
-        self.step_count += steps
+        times = window.times
+        self._set_step(window.h)
+        states = self._stepper.step_held(self._x, window.substeps,
+                                         window.inputs, times, self._drive)
+        self.step_count += len(times) * window.substeps
         self._t = float(times[-1])
         self._x = states[-1].copy()
         return states

@@ -192,9 +192,8 @@ class HealthMonitor:
         """Per-accepted-step hook installed into cooperating solvers.
 
         The built-in linear solver calls it once per activation it
-        steps as one operator (:meth:`~repro.ct.LinearTransientSolver.
-        hold_inputs`), with the activation's end state: the internal
-        steps folded into the operator have no state of their own."""
+        steps through one operator (:meth:`~repro.ct.LinearTransientSolver.
+        hold_inputs`), with the activation's end state only."""
         self.check_state(x, t, context="accepted step")
 
     # -- reporting ----------------------------------------------------------

@@ -95,14 +95,16 @@ class CtTdfModule(TdfModule):
       initialization of the first activation.  It is the reference the
       window is tested against;
     * window (:meth:`_step_window`): one ``advance_window`` call for a
-      block's activations; the built-in linear solver on a row-layout
-      source, in block runs.
+      block's activations, in block runs of the built-in linear solver
+      holding the module's input holders.
 
     The built-in linear solver (a resilient module's primary tier
-    included) holds the input holders from :meth:`initialize` on
-    (:meth:`~repro.ct.LinearTransientSolver.hold_inputs`): where every
-    source row is a holder or a constant, each activation of either
-    strategy applies one cached operator.
+    included) holds the input holders from :meth:`initialize` on when
+    every source row is a holder or a constant
+    (:meth:`~repro.ct.LinearTransientSolver.hold_inputs`): each
+    activation of either strategy then steps through one cached
+    operator, dense, sparse or expm.  A section with a time-waveform
+    source row steps per activation, in block runs too.
     """
 
     #: MoC label used for telemetry (``moc.<moc>.seconds`` wall-time
@@ -132,10 +134,8 @@ class CtTdfModule(TdfModule):
         self._last_delta: float | tuple = np.inf
         #: pre-bound ``moc.<moc>.seconds`` counter (None = telemetry off).
         self._m_solver_seconds = None
-        #: ``(row, input slot or None, waveform, scale)`` per source row
-        #: a window replays; None where only the per-activation strategy
-        #: applies.
-        self._window: Optional[list] = None
+        #: block runs take the window strategy (set at initialize)
+        self._windowed = False
 
     # -- public wiring ----------------------------------------------------------
 
@@ -191,26 +191,11 @@ class CtTdfModule(TdfModule):
                 solver.monitor.telemetry = telemetry
         self._solver = solver
         primary = getattr(solver, "primary", solver)
-        if isinstance(primary, LinearTransientSolver):
-            primary.hold_inputs([holder for _port, holder in self._inputs])
-        self._window = self._window_layout(solver)
+        held = isinstance(primary, LinearTransientSolver) \
+            and primary.hold_inputs([holder for _port, holder in self._inputs])
+        # a resilient wrapper steps per activation, its primary included
+        self._windowed = held and primary is solver
         solver.initialize(0.0, self._initial_state())
-
-    def _window_layout(self, solver: TransientSolver) -> Optional[list]:
-        """The source rows a window replays, each row's holder resolved
-        to its input slot by identity; None unless the solver is the
-        built-in linear one (not a resilient wrapper or a plug-in) on a
-        row-layout source (ELN and LSF networks)."""
-        if not isinstance(solver, LinearTransientSolver):
-            return None
-        rows = getattr(solver.system.source, "rows", None)
-        if rows is None:
-            return None
-        holders = [holder for _port, holder in self._inputs]
-        return [(row, next((slot for slot, holder in enumerate(holders)
-                             if holder is waveform), None),
-                 waveform, scale)
-                for row, waveform, scale in rows]
 
     def stats(self) -> dict:
         """The solver's :meth:`~repro.ct.TransientSolver.stats` plus the
@@ -233,17 +218,17 @@ class CtTdfModule(TdfModule):
         """Batch the port I/O and, where a window applies, the solver
         steps of ``n`` activations.
 
-        Windows need the built-in linear solver (recorded at
-        :meth:`initialize`) and no gating: gating's skip test for an
-        activation needs the state change of the one before, which a
-        window only knows after it has stepped.
+        Windows need the built-in linear solver holding the input
+        holders (recorded at :meth:`initialize`) and no gating: gating's
+        skip test for an activation needs the state change of the one
+        before, which a window only knows after it has stepped.
         """
         if not all([port.block_readable() for port, _holder in self._inputs]):
             self._scalar_fallback(n)
             return
         times = self.activation_times(n)
         columns = [port.read_block(n) for port, _holder in self._inputs]
-        if self._window is not None and not self.gating_enabled:
+        if self._windowed and not self.gating_enabled:
             states = self._advance(self._step_window, times, columns)
         else:
             states = self._advance(self._step_each, times,
@@ -318,15 +303,13 @@ class CtTdfModule(TdfModule):
     def _step_window(self, times, columns) -> np.ndarray:
         """Window strategy: ``columns[i]`` holds input ``i``'s samples.
 
-        Where the solver holds an operator for the activations
-        (:meth:`~repro.ct.LinearTransientSolver.held_window`), one
-        ``advance_window`` call applies it once per activation;
-        otherwise one ``advance_window`` call runs the internal steps
-        the solver plans (:meth:`_step_planned`).  Holders and the
+        One ``advance_window`` call steps the solver's
+        :meth:`~repro.ct.LinearTransientSolver.held_window` of the
+        activations, each from its input vector.  Holders and the
         gating memory end as the last activation's ``advance_to`` would
         leave them (checkpoint parity).  The first activation's
-        consistent initialization, and a window the solver cannot plan,
-        run per activation.
+        consistent initialization, and a window the solver cannot
+        hold, run per activation.
         """
         solver = self._solver
         head = None
@@ -339,56 +322,20 @@ class CtTdfModule(TdfModule):
                 return head
             times = times[1:]
             columns = [column[1:] for column in columns]
-        before = solver.state
         window = solver.held_window(times, columns)
-        if window is not None:
+        if window is None:
+            states = self._step_each(times, _rows(columns, len(times)))
+        else:
+            before = solver.state
             t_prev = solver.time if len(times) == 1 else float(times[-2])
             states = solver.advance_window(window)
             for (_port, holder), column in zip(self._inputs, columns):
                 holder.push_all(column, t_prev, float(times[-1]))
-        else:
-            plan = solver.plan(times)
-            if plan is None:
-                states = self._step_each(times, _rows(columns, len(times)))
-                return states if head is None \
-                    else np.concatenate([head, states])
-            states = self._step_planned(plan, columns)
-        self._last_inputs = tuple([float(column[-1]) for column in columns])
-        self._last_delta = (states[-1],
-                            states[-2] if len(states) >= 2 else before)
+            self._last_inputs = tuple([float(column[-1])
+                                       for column in columns])
+            self._last_delta = (states[-1],
+                                states[-2] if len(states) >= 2 else before)
         return states if head is None else np.concatenate([head, states])
-
-    def _step_planned(self, plan, columns) -> np.ndarray:
-        """The per-step window of :meth:`_step_window` through ``plan``
-        (:meth:`~repro.ct.LinearTransientSolver.plan`): every source row
-        evaluated at each step's end and, where the method reads it,
-        start, the holders replayed on arrays (sparse sections and
-        time-waveform sources).  Returns each activation's state.
-        """
-        solver = self._solver
-        held = [holder.replay(column, plan)
-                for (_port, holder), column in zip(self._inputs, columns)]
-        steps = len(plan.h_values)
-        b_next = np.zeros((steps, solver.system.n))
-        b_now = None if plan.starts is None \
-            else np.zeros((steps, solver.system.n))
-        for row, slot, waveform, scale in self._window:
-            if slot is not None:
-                at_end, at_start = held[slot]
-            elif callable(waveform):
-                at_end = np.fromiter(map(waveform, plan.ends.tolist()),
-                                     float, steps)
-                at_start = None if b_now is None else np.fromiter(
-                    map(waveform, plan.starts.tolist()), float, steps)
-            else:
-                at_end = at_start = float(waveform)
-            b_next[:, row] += at_end if scale == 1.0 else scale * at_end
-            if b_now is not None:
-                b_now[:, row] += at_start if scale == 1.0 \
-                    else scale * at_start
-        states = solver.advance_window(plan.targets, plan.h_values,
-                                       b_next, b_now)
-        return states if plan.last is None else states[plan.last]
 
     # -- internals -----------------------------------------------------------------
 

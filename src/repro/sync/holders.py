@@ -6,14 +6,12 @@ side supplies samples at the endpoints.  An :class:`InputHolder` exposes
 the sample pair as a callable waveform — zero-order hold or linear
 interpolation (first-order hold) — that the solver's source functions
 read during the step.  The built-in linear solver folds a holder's
-interpolation into one operator per activation
+interpolation into the operator it steps each activation with
 (:meth:`~repro.ct.LinearTransientSolver.hold_inputs`), reading the
 holder through ``value`` and :meth:`InputHolder.state`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class InputHolder:
@@ -67,44 +65,3 @@ class InputHolder:
             return self.value
         fraction = (t - self._t0) / (self._t1 - self._t0)
         return self._previous + fraction * (self.value - self._previous)
-
-    def replay(self, values: np.ndarray, plan):
-        """Vectorized :meth:`__call__` over a solver's window ``plan``
-        (:class:`~repro.ct.solver_api.WindowPlan`), where ``values[a]``
-        is the sample pushed at activation ``a``: the waveform at every
-        step's end, and at every step's start where the plan reads it
-        (else None), bit-identical to the scalar calls.  The plan's
-        weights carry the times, so only the values are computed here.
-        Leaves the holder as the last activation's :meth:`push` would.
-        Only per-step windows replay holders: sparse sections and
-        sections with time-waveform sources.
-        """
-        previous = np.empty(len(values))
-        previous[0] = self.value
-        previous[1:] = values[:-1]
-        self.push_all(values, float(plan.t_prev[-1]), float(plan.times[-1]))
-        owner = plan.owner
-        if owner is not None:
-            previous, values = previous[owner], values[owner]
-        if not self.interpolate:
-            return values, values
-        at_end = held_values(plan.at_end, previous, values)
-        if plan.starts is None:
-            return at_end, None
-        if owner is None:
-            return at_end, previous  # every step starts at its t0
-        return at_end, held_values(plan.at_start, previous, values)
-
-
-def held_values(weights, previous, value):
-    """Vectorized :meth:`InputHolder.__call__` of interpolating holders
-    (per-step windows, see :meth:`InputHolder.replay`).
-
-    Elementwise over the sample pairs ``previous`` (held at ``t0``) /
-    ``value`` (at ``t1``, with ``t1 > t0``) and the instants'
-    :class:`~repro.ct.solver_api.HoldWeights`; bit-identical to the
-    scalar call per element.
-    """
-    interp = previous + weights.fraction * (value - previous)
-    return np.where(weights.after, value,
-                    np.where(weights.before, previous, interp))

@@ -335,8 +335,7 @@ class TdfCluster:
         for signal in self.signals:
             signal.prime()
         for module in self.modules:
-            module._cluster = self
-            module._telemetry = self.telemetry
+            module.bind_cluster(self)
         for module in self.modules:
             module.initialize()
 
@@ -539,15 +538,7 @@ class TdfCluster:
             "name": self.name,
             "period_count": self.period_count,
             "signals": [signal.snapshot() for signal in self.signals],
-            "modules": [
-                {
-                    "name": module.full_name(),
-                    "activation_index": module._activation_index,
-                    "activation_count": module.activation_count,
-                    "extra": module.checkpoint_state(),
-                }
-                for module in self.modules
-            ],
+            "modules": [module.checkpoint_entry() for module in self.modules],
         }
 
     def restore_state(self, data: dict) -> None:
@@ -576,7 +567,5 @@ class TdfCluster:
                     f"checkpoint module {snap['name']!r} does not match "
                     f"{module.full_name()!r} in cluster {self.name!r}"
                 )
-            module._activation_index = int(snap["activation_index"])
-            module.activation_count = int(snap["activation_count"])
-            module.restore_state(snap["extra"])
+            module.restore_entry(snap)
         self._skip_first_period = True

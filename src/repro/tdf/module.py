@@ -206,6 +206,31 @@ class TdfModule(Module):
     def restore_state(self, data) -> None:
         """Override to reinstall :meth:`checkpoint_state` data."""
 
+    # -- cluster hooks ---------------------------------------------------------
+
+    def bind_cluster(self, cluster: "TdfCluster") -> None:
+        """Join the cluster that schedules this module (at its setup):
+        its epoch places the activations in time, and its telemetry hub
+        is the module's."""
+        self._cluster = cluster
+        self._telemetry = cluster.telemetry
+
+    def checkpoint_entry(self) -> dict:
+        """This module's entry in its cluster's checkpoint: its name,
+        activation counters and :meth:`checkpoint_state`."""
+        return {
+            "name": self.full_name(),
+            "activation_index": self._activation_index,
+            "activation_count": self.activation_count,
+            "extra": self.checkpoint_state(),
+        }
+
+    def restore_entry(self, entry: dict) -> None:
+        """Reinstall a :meth:`checkpoint_entry`."""
+        self._activation_index = int(entry["activation_index"])
+        self.activation_count = int(entry["activation_count"])
+        self.restore_state(entry["extra"])
+
 
 class TdfDeIn:
     """Converter port: reads a DE signal into the TDF world.

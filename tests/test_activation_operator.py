@@ -1,12 +1,14 @@
-"""One affine operator per CT activation.
+"""One operator per CT activation.
 
-A linear section driven only by TDF input holders and constants takes
-the k internal steps of one activation as one map ``x' = P x + Q u``,
-where ``u`` holds each interpolating holder's previous sample, every
-holder's current one, and 1 for the constants.  These tests hold that
-operator against the per-substep stepper loop it replaces, its window
-form against the per-activation form byte for byte, and its cache
-against a switch toggle's re-stamp.
+A linear section driven only by TDF input holders and constants reads
+the sources of one activation's k internal steps from its input vector
+``u``: each interpolating holder's previous sample, every holder's
+current one, and 1 for the constants.  Dense and expm sections take
+the k steps as one map ``x' = P x + Q u``; sparse sections solve each
+step with its source vector ``S_j u``.  These tests hold that operator
+against the per-substep stepper loop it replaces, its window form
+against the per-activation form byte for byte, and its cache against a
+switch toggle's re-stamp.
 """
 
 import numpy as np
@@ -95,8 +97,8 @@ def _section(kind, n, interpolate, rng):
 
 CASES = [
     (kind, n, method, substeps, interpolate)
-    for kind, sizes in (("dense", (1, 3, 4, 13)), ("expm", (1, 3, 4, 13)),
-                        ("lsf", (4, 13)))
+    for kind, sizes in (("dense", (1, 3, 4, 13)), ("sparse", (1, 3, 4, 13)),
+                        ("expm", (1, 3, 4, 13)), ("lsf", (4, 13)))
     for n in sizes
     for method in (("trapezoidal",) if kind == "expm"
                    else ("trapezoidal", "backward_euler"))
@@ -105,15 +107,17 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind,n,method,substeps,interpolate", CASES)
-def test_operator_matches_the_substep_loop(monkeypatch, kind, n, method,
-                                           substeps, interpolate):
-    """Each activation's operator agrees with ``substeps`` stepper steps
-    to 1e-12 of the run's peak, and its window form equals its
-    per-activation form byte for byte."""
-    rng = np.random.default_rng([n, substeps, len(kind), len(method)])
-    dae, holders = _section(kind, n, interpolate, rng)
-    variant = "expm" if kind == "expm" else "dense"
+def no_substep(self, x, t):
+    raise AssertionError(f"per-substep step at {t}")
+
+
+def _check_operator(monkeypatch, dae, holders, variant, method, substeps,
+                    rng):
+    """Step ``dae`` through ``ACTIVATIONS`` activations of random
+    samples: the operator agrees with ``substeps`` stepper steps per
+    activation to 1e-12 of the run's peak, and its window form equals
+    its per-activation form byte for byte."""
+    n = dae.n
     times = np.arange(ACTIVATIONS + 1) * INTERVAL
     samples = rng.uniform(-1.0, 1.0, (ACTIVATIONS + 1, len(holders)))
     x0 = rng.uniform(-1.0, 1.0, n)
@@ -139,12 +143,9 @@ def test_operator_matches_the_substep_loop(monkeypatch, kind, n, method,
         reset()
         made = LinearTransientSolver(dae, h_internal=h, method=method,
                                      variant=variant)
-        made.hold_inputs(holders)
+        assert made.hold_inputs(holders)
         made.initialize(0.0, x0)
         return made
-
-    def no_substep(self, x, t):
-        raise AssertionError(f"per-substep step at {t}")
 
     monkeypatch.setattr(_CachedStepper, "step", no_substep)
     scalar = solver()
@@ -171,27 +172,52 @@ def test_operator_matches_the_substep_loop(monkeypatch, kind, n, method,
     assert block.step_count == scalar.step_count
 
 
-def test_sparse_and_waveform_sections_keep_the_substep_loop():
-    """The operator covers dense and expm sections driven by holders
-    and constants only: a sparse section, and a source row with a time
-    waveform, step per substep as before."""
+@pytest.mark.parametrize("kind,n,method,substeps,interpolate", CASES)
+def test_operator_matches_the_substep_loop(monkeypatch, kind, n, method,
+                                           substeps, interpolate):
+    """Each activation's operator agrees with ``substeps`` stepper steps
+    to 1e-12 of the run's peak, and its window form equals its
+    per-activation form byte for byte."""
+    rng = np.random.default_rng([n, substeps, len(kind), len(method)])
+    dae, holders = _section(kind, n, interpolate, rng)
+    variant = kind if kind in ("expm", "sparse") else "dense"
+    _check_operator(monkeypatch, dae, holders, variant, method, substeps,
+                    rng)
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse", "expm"])
+@pytest.mark.parametrize("n", [3, 13])
+def test_section_without_source_rows(monkeypatch, variant, n):
+    """A section no source row drives has an empty input vector (width
+    0): its activations still step through the operator, decaying
+    from their initial state as the per-substep loop does."""
+    rng = np.random.default_rng([n, len(variant)])
+    dae, _holders = _matrix_section(n, variant == "expm", True, rng)
+    empty = LinearDae(dae.C, dae.G, _row_source(n, []))
+    _check_operator(monkeypatch, empty, [], variant, "trapezoidal", 3, rng)
+
+
+def test_waveform_sections_keep_the_substep_loop():
+    """The operator covers sections driven by holders and constants
+    only: a source row with a time waveform steps per substep as
+    before, whatever the stepper."""
     rng = np.random.default_rng(5)
     dae, holders = _matrix_section(4, False, True, rng)
-    sparse = LinearTransientSolver(dae, variant="sparse")
-    sparse.hold_inputs(holders)
-    assert sparse.held_window(np.array([INTERVAL]), [[1.0], [2.0]]) is None
     rows = dae.source.rows + ((2, np.cos, 1.0),)
     waveform = LinearDae(dae.C, dae.G, _row_source(4, rows))
-    dense = LinearTransientSolver(waveform, variant="dense")
-    dense.hold_inputs(holders)
-    assert dense.held_window(np.array([INTERVAL]), [[1.0], [2.0]]) is None
+    for variant in ("dense", "sparse"):
+        solver = LinearTransientSolver(waveform, variant=variant)
+        assert not solver.hold_inputs(holders)
+        assert solver.held_window(np.array([INTERVAL]),
+                                  [[1.0], [2.0]]) is None
 
 
 class SwitchedRc(Module):
     """A DC source into an RC section whose output node a clock shorts
-    to ground from 1 ms on, every 4 ms for 1 ms."""
+    to ground from 1 ms on, every 4 ms for 1 ms, stepped by the
+    ``variant`` stepper."""
 
-    def __init__(self):
+    def __init__(self, variant="dense"):
         super().__init__("top")
         self.s_in, self.s_out = TdfSignal("s_in"), TdfSignal("s_out")
         self.clk = Clock("clk", period=SimTime(4, "ms"), duty_cycle=0.25,
@@ -205,7 +231,7 @@ class SwitchedRc(Module):
         net.add(Switch("S1", "n2", "0", closed=False, r_on=1.0,
                        r_off=1e12))
         self.rc = ElnTdfModule("rc", net, parent=self, oversample=4,
-                               solver_variant="dense")
+                               solver_variant=variant)
         self.sink = TdfSink("sink", parent=self)
         self.src.out(self.s_in)
         self.rc.drive_voltage("Vin")(self.s_in)
@@ -214,24 +240,20 @@ class SwitchedRc(Module):
         self.sink.inp(self.s_out)
 
 
-def test_switch_toggle_drops_the_operator(monkeypatch):
+def _check_switch_toggle(monkeypatch, variant):
     """A toggle re-stamps the network: the operators built for the old
-    matrices go with its propagators, so the output follows the
+    matrices go with its factors, so the output follows the
     per-substep reference through both toggles."""
     def run():
-        top = SwitchedRc()
+        top = SwitchedRc(variant)
         Simulator(top).run(SimTime(4, "ms"))
         assert top.rc.rebuild_count == 2  # close, then reopen
         return top
 
     monkeypatch.setattr(LinearTransientSolver, "hold_inputs",
-                        lambda self, holders: None)
+                        lambda self, holders: False)
     reference = run()
     monkeypatch.undo()
-
-    def no_substep(self, x, t):
-        raise AssertionError(f"per-substep step at {t}")
-
     monkeypatch.setattr(_CachedStepper, "step", no_substep)
     got = run()
     samples = np.asarray(got.sink.samples)
@@ -243,3 +265,15 @@ def test_switch_toggle_drops_the_operator(monkeypatch):
     assert samples[np.searchsorted(times, 0.9e-3)] > 0.99
     assert abs(samples[np.searchsorted(times, 1.9e-3)]) < 0.01
     assert samples[-1] > 0.99
+
+
+def test_switch_toggle_drops_the_operator(monkeypatch):
+    """The dense propagators folded into the operator go with a
+    toggle's re-stamp."""
+    _check_switch_toggle(monkeypatch, "dense")
+
+
+def test_sparse_switch_toggle_drops_the_source_matrices(monkeypatch):
+    """A sparse section's operator, its per-step source matrices kept
+    beside the SuperLU factors, goes with a toggle's re-stamp too."""
+    _check_switch_toggle(monkeypatch, "sparse")

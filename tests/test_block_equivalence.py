@@ -25,6 +25,7 @@ from repro.core import Module, Signal, SimTime, Simulator
 from repro.core.process import METHOD, Process
 from repro.ct import LinearTransientSolver
 from repro.ct.linear import LinearStepper
+from repro.ct.solver_api import HeldWindow
 from repro.eln import Capacitor, Isource, Network, Resistor, Vsource
 from repro.lib import (
     Add2,
@@ -315,9 +316,9 @@ def test_pipelined_adc_cross_mode_resume():
 def test_adsl_system_bit_identical():
     """The full mixed-signal prototype (DE software, converter ports,
     CT line model, decimating RX path) matches in both modes: the CT
-    taps and every CT module's checkpoint byte for byte, through shared
-    window plans, one-call steps at 4 and 13 unknowns and the CIC's
-    block path."""
+    taps and every CT module's checkpoint byte for byte, through one
+    cached operator per CT section and step size, applied with one call
+    per activation at 4 and 13 unknowns, and the CIC's block path."""
     ref = AdslSystem()
     Simulator(ref, tdf_block=False).run(SimTime(6, "ms"))
     got = AdslSystem()
@@ -336,16 +337,9 @@ def test_adsl_system_bit_identical():
 
 def test_adsl_block_run_builds_one_operator_per_section(monkeypatch):
     """The three CT sections step every window through their activation
-    operator: the block run makes no window plan, builds one operator
-    per section and step size, which nothing writes to, and the CIC
-    decimator's single rate-32 activation per period runs as a block."""
-    plans = []
-    plan = LinearTransientSolver.plan
-
-    def counted_plan(self, times):
-        plans.append(len(times))
-        return plan(self, times)
-
+    operator: the block run builds one operator per section and step
+    size, which nothing writes to, and the CIC decimator's single
+    rate-32 activation per period runs as a block."""
     def freeze(value):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -369,7 +363,6 @@ def test_adsl_block_run_builds_one_operator_per_section(monkeypatch):
         cic_blocks.append(n)
         cic_block(self, n)
 
-    monkeypatch.setattr(LinearTransientSolver, "plan", counted_plan)
     monkeypatch.setattr(LinearStepper, "_lift", frozen_lift)
     monkeypatch.setattr(CicDecimator, "processing_block", counted_block)
     top = AdslSystem()
@@ -378,7 +371,6 @@ def test_adsl_block_run_builds_one_operator_per_section(monkeypatch):
     [cluster] = sim.tdf_registry.clusters
     periods = cluster.period_count
     assert periods == 11
-    assert plans == []
     assert len(operators) == len(set(operators)) == 3
     assert len({stepper for stepper, _h, _k in operators}) == 3
     assert {substeps for _id, _h, substeps in operators} == {2}
@@ -747,9 +739,10 @@ def _wobble(t):
 
 
 class MixedSourceTop(Module):
-    """Two sines drive a CT module whose source rows hold every kind the
-    window replays: TDF-driven inputs, a constant ``int`` equal to a
-    valid input slot, a constant float and a callable waveform.
+    """Two sines drive a CT module whose source rows hold every kind:
+    TDF-driven inputs, a constant ``int`` equal to a valid input slot, a
+    constant float and a callable waveform, which makes its activations
+    step per internal step, in block runs too.
 
     ``dense``: an ELN DAE, sampled at a node, a node difference and a
     source current.  ``expm`` needs an invertible C, so its network is
@@ -837,10 +830,10 @@ class MixedSourceTop(Module):
     for method in ("trapezoidal", "backward_euler")
     if kind != "expm" or method == "trapezoidal"  # expm ignores it
 ])
-def test_window_replays_every_source_kind(monkeypatch, kind, oversample,
-                                          method):
-    """Scalar and block runs agree byte for byte whatever drives the
-    source rows, and the block run steps only through windows."""
+def test_window_replays_every_source_kind(kind, oversample, method):
+    """Scalar and block runs agree byte for byte, and in their solver
+    counters, whatever drives the source rows; with a callable row the
+    block run steps per activation."""
     def run(block):
         top = MixedSourceTop(kind, oversample, method)
         sim = Simulator(top, tdf_block=block, tdf_batch=16)
@@ -848,12 +841,6 @@ def test_window_replays_every_source_kind(monkeypatch, kind, oversample,
         return top, _solver_counters(sim)
 
     reference, ref_counters = run(False)
-
-    def scalar_advance(self, t):
-        raise AssertionError(f"per-activation advance_to({t})")
-
-    monkeypatch.setattr(LinearTransientSolver, "advance_to",
-                        scalar_advance)
     got, counters = run(True)
     assert len(got.sinks) == (3 if kind == "dense" else 2)
     for ref_sink, got_sink in zip(reference.sinks, got.sinks):
@@ -865,10 +852,11 @@ def test_window_replays_every_source_kind(monkeypatch, kind, oversample,
 
 def test_window_calls_no_constant_source_waveform():
     """ELN constant sources stay numbers, as LSF constants do, so a
-    block run's windows call nothing for them (8,004 calls over this
-    run when each was wrapped in a lambda); the callable source is
-    still called at every step end and start, and once by the first
-    activation's consistent initialization."""
+    block run calls nothing for them (8,004 calls over this run when
+    each was wrapped in a lambda).  The callable source makes the
+    module step per activation: each internal step evaluates the
+    source at its end and start, and the first activation's consistent
+    initialization once."""
     top = MixedSourceTop("dense", 1, "trapezoidal")
     sim = Simulator(top, tdf_block=True, tdf_batch=16)
     sim.elaborate()
@@ -882,21 +870,31 @@ def test_window_calls_no_constant_source_waveform():
     assert calls[pathlib.Path(__file__).name, "_wobble"] == 2 * 2000 + 1
 
 
-def test_oversampled_block_run_takes_the_window_path(monkeypatch):
+@pytest.mark.parametrize("kind", ["dense", "sparse", "expm", "lsf"])
+def test_oversampled_block_run_takes_the_window_path(monkeypatch, kind):
     """A block run of an oversampled module never steps the solver one
-    activation at a time."""
-    case = dict(kind="dense", oversample=2)
+    activation at a time: every window steps each activation from its
+    input vector (a held window), whatever the stepper."""
+    case = dict(kind=kind, oversample=2)
     reference, _ = _oversampled_run(False, **case)
+    windows = []
+    advance_window = LinearTransientSolver.advance_window
+
+    def held_only(self, *args):
+        assert isinstance(args[0], HeldWindow)
+        windows.append(len(args[0]))
+        return advance_window(self, *args)
 
     def scalar_advance(self, t):
         raise AssertionError(f"per-activation advance_to({t})")
 
+    monkeypatch.setattr(LinearTransientSolver, "advance_window", held_only)
     monkeypatch.setattr(LinearTransientSolver, "advance_to",
                         scalar_advance)
     top, sim = _oversampled_run(True, **case)
     assert_bytes_equal(reference.sink, top.sink)
-    assert sim.metrics_snapshot()["solver.steps"] \
-        == 2 * (len(top.sink.samples) - 1)
+    steps = 2 * (len(top.sink.samples) - 1)
+    assert sim.metrics_snapshot()["solver.steps"] == sum(windows) == steps
 
 
 def test_fine_telemetry_keeps_the_window_path(monkeypatch):
